@@ -81,6 +81,9 @@ bench-compare:
 # for the shared ScaleSmall sweep, so its ns/op and Msimcycles/sec are
 # honest) plus the scheduler hot-path microbenchmark, best of
 # $(BENCH_COUNT) runs, compared against the committed BENCH_8.json.
+# The actor-event scheduling and hot-switch arbitration microbenchmarks
+# ride along as informational rows (not in BENCH_8.json, so no gate
+# applies to them until a record includes them).
 # The sweep repeats in separate processes because the figure
 # benchmarks share one sync.Once sweep per process. Informational by
 # default; ENFORCE=1 makes a >10% throughput or allocation regression
@@ -93,6 +96,8 @@ bench-short:
 		go test -run '^$$' -bench 'Fig8' -benchmem -benchtime 1x . || exit 1; \
 	done > bench_short.out
 	go test -run '^$$' -bench EngineScheduleRun -benchmem -count $(BENCH_COUNT) ./internal/sim >> bench_short.out
+	go test -run '^$$' -bench EngineActorScheduleRun -benchmem -count $(BENCH_COUNT) ./internal/sim >> bench_short.out
+	go test -run '^$$' -bench ArbHotSwitch -benchmem -count $(BENCH_COUNT) ./internal/xbar >> bench_short.out
 	bin/benchjson -in bench_short.out -out bench_short.json -baseline BENCH_8.json $(if $(ENFORCE),-enforce)
 
 # The parallel-speedup gate (scripts/benchgate.sh): BenchmarkShardedFFT

@@ -8,10 +8,11 @@ type nopActor struct{ fired int }
 func (a *nopActor) OnEvent(op int, arg uint64, data any) { a.fired++ }
 
 // TestScheduleFireZeroAlloc pins the hot-path budget: once the
-// calendar ring's buckets are warm, AtEvent + Run must not allocate at
-// all. This is the per-event cost every simulated message pays several
-// times over, so any regression here multiplies across whole figure
-// sweeps — the budget is exactly zero, not "small".
+// calendar ring's buckets are warm, AtEvent, AtEventSlack or a
+// same-engine Post plus Run must not allocate at all. This is the
+// per-event cost every simulated message pays several times over, so
+// any regression here multiplies across whole figure sweeps — the
+// budget is exactly zero, not "small".
 func TestScheduleFireZeroAlloc(t *testing.T) {
 	e := NewCalendarEngine()
 	a := &nopActor{}
@@ -21,14 +22,24 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 		e.AtEvent(e.Now()+Cycle(i), a, 0, 0, nil)
 	}
 	e.Run(0)
-	allocs := testing.AllocsPerRun(2000, func() {
-		e.AtEvent(e.Now()+3, a, 1, 42, nil)
-		e.Run(0)
-	})
-	if allocs != 0 {
-		t.Fatalf("schedule+fire allocates %v per op, want 0", allocs)
-	}
-	if a.fired == 0 {
-		t.Fatal("events did not fire")
+	for _, tc := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"AtEvent", func() { e.AtEvent(e.Now()+3, a, 1, 42, nil) }},
+		{"AtEventSlack", func() { e.AtEventSlack(e.Now()+3, 7, a, 1, 42, a) }},
+		{"Post", func() { e.Post(e, e.Now()+3, a, 1, 42, a) }},
+	} {
+		before := a.fired
+		allocs := testing.AllocsPerRun(2000, func() {
+			tc.schedule()
+			e.Run(0)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: schedule+fire allocates %v per op, want 0", tc.name, allocs)
+		}
+		if a.fired == before {
+			t.Fatalf("%s: events did not fire", tc.name)
+		}
 	}
 }

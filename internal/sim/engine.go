@@ -8,24 +8,20 @@
 // strictly single-threaded and deterministic: two events scheduled for
 // the same cycle fire in the order they were scheduled.
 //
-// Two interchangeable queue implementations back the engine. The
-// default is a calendar queue: a power-of-two ring of per-cycle FIFO
+// The queue is a calendar queue: a power-of-two ring of per-cycle FIFO
 // buckets covering the next calWindow cycles, with a concrete
 // (non-boxing) min-heap as overflow for events scheduled further out.
 // Near-term scheduling — the steady state for a cycle-accurate network
-// model, where everything lands within a few cycles — is a single
-// append with no heap sift and no interface boxing, so the hot path
-// allocates nothing once bucket capacity is warm. The seed
-// container/heap implementation is kept behind a switch
-// (NewHeapEngine, or DRESAR_ENGINE=heap) for differential testing;
-// both orderings are defined identically by (cycle, sequence).
+// model, where everything lands within a few cycles — takes a slot from
+// the engine's event slab and appends its 4-byte index to the target
+// cycle's bucket, with no heap sift and no interface boxing. Events are
+// written into the slot field by field and fired from it in place, so
+// the event record is never copied on the hot path; fired slots are
+// reused last-in first-out, so the slots in use stay few and cache-hot,
+// and nothing is allocated once the slab and buckets are warm.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Cycle is a point in simulated time, in 200MHz core cycles.
 type Cycle uint64
@@ -68,16 +64,17 @@ type event struct {
 	data   any
 }
 
-// before reports whether a fires ahead of b: cycle order, then the
-// creation-time key (madeAt, srcShard, srcSeq).
-func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// precedes reports whether an event keyed (at, madeAt, seq) fires
+// ahead of b: cycle order, then the creation-time key (madeAt,
+// srcShard, srcSeq).
+func precedes(at, madeAt Cycle, seq uint64, b *event) bool {
+	if at != b.at {
+		return at < b.at
 	}
-	if a.madeAt != b.madeAt {
-		return a.madeAt < b.madeAt
+	if madeAt != b.madeAt {
+		return madeAt < b.madeAt
 	}
-	return a.seq < b.seq
+	return seq < b.seq
 }
 
 // cycleMax is the identity for min-reductions over cycles.
@@ -100,23 +97,6 @@ func (ev *event) fire() {
 }
 
 // ---------------------------------------------------------------------
-// Legacy heap queue (seed implementation), kept for differential tests.
-
-type eventHeap []event
-
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].before(&h[j]) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// ---------------------------------------------------------------------
 // Calendar queue.
 
 const (
@@ -128,32 +108,41 @@ const (
 	calMask   = calWindow - 1
 )
 
-// bucket is one cycle's FIFO of events. head indexes the next event to
-// fire; the backing array is reused across window wraps, so a warmed-up
-// engine appends without allocating.
+// bucket is one cycle's FIFO of events, as indices into the engine's
+// slot slab. head indexes the next event to fire; the backing array is
+// reused across window wraps, so a warmed-up engine appends without
+// allocating.
 type bucket struct {
-	ev   []event
+	ev   []int32
 	head int
 }
 
 // farHeap is a concrete min-heap ordered by the event key (at, madeAt,
-// seq). Unlike container/heap it moves event values without interface
-// boxing.
+// seq). It moves event values without interface boxing.
 type farHeap []event
 
-func (h farHeap) less(i, j int) bool { return h[i].before(&h[j]) }
+func (h farHeap) less(i, j int) bool {
+	a := &h[i]
+	return precedes(a.at, a.madeAt, a.seq, &h[j])
+}
 
-func (h *farHeap) push(ev event) {
-	*h = append(*h, ev)
+// slot opens the heap position of a new event keyed (at, madeAt, seq)
+// by sifting a hole up from the end, and returns it empty for the
+// caller to fill.
+func (h *farHeap) slot(at, madeAt Cycle, seq uint64) *event {
+	*h = append(*h, event{})
 	i := len(*h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
+		if !precedes(at, madeAt, seq, &(*h)[parent]) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		(*h)[i] = (*h)[parent]
 		i = parent
 	}
+	ev := &(*h)[i]
+	*ev = event{} // drop the payload of the parent moved out of the hole
+	return ev
 }
 
 func (h *farHeap) pop() event {
@@ -229,7 +218,7 @@ func (h *hkeyHeap) pop() {
 }
 
 // Engine is a deterministic discrete-event scheduler.
-// The zero value is ready to use (calendar queue mode).
+// The zero value is ready to use.
 type Engine struct {
 	now Cycle
 	// seq counts locally-created events; seqBase is the engine's shard
@@ -238,8 +227,7 @@ type Engine struct {
 	// different shards never collide and compare as (shard, counter).
 	seq     uint64
 	seqBase uint64
-	cnt     int // scheduled events not yet executed (both queue modes)
-	mode    engineMode
+	cnt     int // scheduled events not yet executed
 
 	// Calendar queue state. Invariants, restored after every clock
 	// advance by migrate():
@@ -247,15 +235,18 @@ type Engine struct {
 	//     and lives in buckets[at&calMask];
 	//   - every far-heap event has at >= now+calWindow.
 	buckets [calWindow]bucket
-	far     farHeap
+	// slots holds every bucket-resident event; free lists the slots not
+	// in use, most recently fired last. A free slot holds no references
+	// (Step clears a slot's pointer fields once it has fired), so a
+	// reused slot needs only its key and payload written.
+	slots []event
+	free  []int32
+	far   farHeap
 	// nextAt caches the earliest pending cycle so the run loops don't
 	// rescan the ring on every peek. Invalidated when the cycle's
 	// bucket drains; refreshed on the next peek.
 	nextAt    Cycle
 	nextValid bool
-
-	// Legacy heap state (mode == engineHeap).
-	events eventHeap
 
 	stopped bool
 
@@ -299,26 +290,11 @@ type Engine struct {
 	slackLog hkeyHeap
 }
 
-type engineMode uint8
+// NewEngine returns an empty engine at cycle 0.
+func NewEngine() *Engine { return &Engine{} }
 
-const (
-	engineCalendar engineMode = iota
-	engineHeap
-)
-
-// NewEngine returns an empty engine at cycle 0, backed by the calendar
-// queue. Setting DRESAR_ENGINE=heap in the environment selects the
-// seed heap implementation instead, so any run (figure pins included)
-// can be replayed on both queues without a code change.
-func NewEngine() *Engine {
-	if os.Getenv("DRESAR_ENGINE") == "heap" {
-		return NewHeapEngine()
-	}
-	return &Engine{}
-}
-
-// NewCalendarEngine returns an engine explicitly backed by the
-// calendar queue, ignoring DRESAR_ENGINE.
+// NewCalendarEngine returns an empty engine whose calendar buckets are
+// pre-seeded with capacity (see below); sharded member engines use it.
 func NewCalendarEngine() *Engine {
 	e := &Engine{}
 	// Seed every bucket with a little capacity carved from one backing
@@ -328,18 +304,13 @@ func NewCalendarEngine() *Engine {
 	// growth. One allocation here replaces the first few doublings of
 	// each bucket; hot buckets still grow past the carve on their own.
 	const seedCap = 4
-	backing := make([]event, calWindow*seedCap)
+	backing := make([]int32, calWindow*seedCap)
 	for i := range e.buckets {
 		lo := i * seedCap
 		e.buckets[i].ev = backing[lo : lo : lo+seedCap]
 	}
 	return e
 }
-
-// NewHeapEngine returns an engine backed by the seed container/heap
-// queue. It defines the reference firing order for differential tests;
-// the calendar queue must match it event for event.
-func NewHeapEngine() *Engine { return &Engine{mode: engineHeap} }
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -354,39 +325,60 @@ func (e *Engine) Pending() int { return e.cnt }
 // under-promise, which is always sound — so the common small-slack
 // events (issue gaps of a few cycles) never touch the heap and the log
 // stays tiny (barrier-scale promises only).
-func (e *Engine) slackLogged(ev *event) bool {
-	return e.group != nil && ev.slack > e.lookahead
+func (e *Engine) slackLogged(slack Cycle) bool {
+	return e.group != nil && slack > e.lookahead
 }
 
-// schedule enqueues ev (its at already clamped to >= now).
-func (e *Engine) schedule(ev event) {
+// takeSlot hands out a free slab slot, the most recently fired first.
+func (e *Engine) takeSlot() int32 {
+	if n := len(e.free); n > 0 {
+		si := e.free[n-1]
+		e.free = e.free[:n-1]
+		return si
+	}
+	e.slots = append(e.slots, event{})
+	return int32(len(e.slots) - 1)
+}
+
+// reserve is the one write path into the queue. It counts an event
+// keyed (at, madeAt, seq) with the given slack, opens its slot — a slab
+// slot whose index joins cycle at's bucket in firing order, or a far-heap
+// position beyond the window — and returns the slot with key and slack
+// written and every payload field empty. Callers write the payload (fn,
+// or actor/op/arg/data) straight into the slot, so an event is built
+// where it will fire and is never copied on the way. The pointer is
+// valid until the next reserve. at must be >= now.
+func (e *Engine) reserve(at, madeAt Cycle, seq uint64, slack Cycle) *event {
 	e.cnt++
-	if e.slackLogged(&ev) {
-		e.slackLog.push(hkeyEntry{at: ev.at, hkey: ev.at + ev.slack})
+	if e.slackLogged(slack) {
+		e.slackLog.push(hkeyEntry{at: at, hkey: at + slack})
 	} else {
 		e.slack0++
 	}
-	if e.mode == engineHeap {
-		heap.Push(&e.events, ev)
-		return
-	}
-	if ev.at < e.now+calWindow {
-		b := &e.buckets[ev.at&calMask]
-		b.ev = append(b.ev, ev)
+	var ev *event
+	if at < e.now+calWindow {
+		si := e.takeSlot()
+		b := &e.buckets[at&calMask]
+		i := len(b.ev)
+		b.ev = append(b.ev, si)
 		// Keep the bucket in key order. Locally-created events arrive
-		// with monotonically increasing (madeAt, seq) stamps, so this
-		// loop runs zero iterations on the hot path; only a
-		// barrier-merged event whose creation-time key orders earlier
-		// walks backwards past locals already appended for the same
-		// cycle. Never past head: a merged delivery is strictly ahead
-		// of the clock, so every already-fired slot stays untouched.
-		for i := len(b.ev) - 1; i > b.head && ev.before(&b.ev[i-1]); i-- {
-			b.ev[i] = b.ev[i-1]
-			b.ev[i-1] = ev
+		// with monotonically increasing (madeAt, seq) stamps, so a
+		// serial engine appends and never walks; only on a sharded
+		// member can a barrier-merged event's creation-time key order
+		// ahead of locals already appended for the same cycle (or a
+		// local's ahead of a merged one stamped later on its source).
+		// Never past head: a merged delivery is strictly ahead of the
+		// clock, so every already-fired entry stays untouched.
+		if e.group != nil {
+			for ; i > b.head && precedes(at, madeAt, seq, &e.slots[b.ev[i-1]]); i-- {
+				b.ev[i], b.ev[i-1] = b.ev[i-1], b.ev[i]
+			}
 		}
+		ev = &e.slots[si]
 	} else {
-		e.far.push(ev)
+		ev = e.far.slot(at, madeAt, seq)
 	}
+	ev.at, ev.madeAt, ev.seq, ev.slack = at, madeAt, seq, slack
 	// Keep the earliest-cycle cache honest: a valid cache may only be
 	// lowered, and an invalid cache may only be revalidated when this
 	// event is provably the earliest — i.e. it is the only one pending.
@@ -395,23 +387,31 @@ func (e *Engine) schedule(ev event) {
 	// still holding events) publish a too-high nextAt, and peek would
 	// skip every earlier bucket until the ring wrapped.
 	if e.nextValid {
-		if ev.at < e.nextAt {
-			e.nextAt = ev.at
+		if at < e.nextAt {
+			e.nextAt = at
 		}
 	} else if e.cnt == 1 {
-		e.nextAt, e.nextValid = ev.at, true
+		e.nextAt, e.nextValid = at, true
 	}
+	return ev
+}
+
+// newEvent reserves the slot of a locally created event at cycle t
+// (clamped to >= Now) and stamps it with this engine's creation key.
+func (e *Engine) newEvent(t, slack Cycle) *event {
+	if t < e.now {
+		t = e.now
+	}
+	ev := e.reserve(t, e.now, e.seqBase|e.seq, slack)
+	e.seq++
+	return ev
 }
 
 // At schedules fn to run at cycle t. Scheduling in the past (t < Now)
 // runs fn at the current cycle instead; the engine never travels
 // backwards.
 func (e *Engine) At(t Cycle, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.schedule(event{at: t, madeAt: e.now, seq: e.seqBase | e.seq, fn: fn})
-	e.seq++
+	e.newEvent(t, 0).fn = fn
 }
 
 // After schedules fn to run d cycles from now.
@@ -423,11 +423,8 @@ func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 // pointer (or nil) as data does not allocate; the steady-state
 // schedule+fire path is allocation-free once bucket capacity is warm.
 func (e *Engine) AtEvent(t Cycle, a Actor, op int, arg uint64, data any) {
-	if t < e.now {
-		t = e.now
-	}
-	e.schedule(event{at: t, madeAt: e.now, seq: e.seqBase | e.seq, actor: a, op: op, arg: arg, data: data})
-	e.seq++
+	ev := e.newEvent(t, 0)
+	ev.actor, ev.op, ev.arg, ev.data = a, op, arg, data
 }
 
 // AfterEvent schedules a closure-free event d cycles from now.
@@ -447,11 +444,8 @@ func (e *Engine) AfterEvent(d Cycle, a Actor, op int, arg uint64, data any) {
 // chain (stream gaps, fixed barrier costs). Slack never changes firing
 // order, and a serial engine ignores it entirely; 0 is always sound.
 func (e *Engine) AtEventSlack(t, slack Cycle, a Actor, op int, arg uint64, data any) {
-	if t < e.now {
-		t = e.now
-	}
-	e.schedule(event{at: t, madeAt: e.now, seq: e.seqBase | e.seq, slack: slack, actor: a, op: op, arg: arg, data: data})
-	e.seq++
+	ev := e.newEvent(t, slack)
+	ev.actor, ev.op, ev.arg, ev.data = a, op, arg, data
 }
 
 // AfterEventSlack schedules a slack-carrying event d cycles from now.
@@ -502,12 +496,13 @@ func (e *Engine) minHkey() Cycle {
 // destination clock (at >= end[j] > now), so an exactly-at-now arrival
 // is already a broken promise that would silently reorder same-cycle
 // execution — fail loudly instead.
-func (e *Engine) insertMerged(ev event) {
+func (e *Engine) insertMerged(ev *event) {
 	if ev.at <= e.now {
 		panic(fmt.Sprintf("sim: shard %d: cross-shard event delivered at cycle %d not strictly ahead of local clock %d (unsound lookahead)",
 			e.shard, ev.at, e.now))
 	}
-	e.schedule(ev)
+	s := e.reserve(ev.at, ev.madeAt, ev.seq, ev.slack)
+	s.fn, s.actor, s.op, s.arg, s.data = ev.fn, ev.actor, ev.op, ev.arg, ev.data
 }
 
 // migrate restores the calendar invariants after the clock advanced:
@@ -515,14 +510,17 @@ func (e *Engine) insertMerged(ev event) {
 // buckets. Heap order is (at, seq), so same-cycle events migrate in
 // seq order into buckets that are necessarily empty of that cycle
 // (while any event for cycle c sits in the far heap, c is outside the
-// window, so nothing for c can be bucket-resident); later schedules
-// for that cycle restore seq order via the insertion walk in
-// schedule().
+// window, so nothing for c can be bucket-resident); later local
+// schedules for that cycle carry larger stamps and append behind them,
+// and a sharded member's merged events take the insertion walk in
+// reserve().
 func (e *Engine) migrate() {
 	for len(e.far) > 0 && e.far[0].at < e.now+calWindow {
 		ev := e.far.pop()
+		si := e.takeSlot()
+		e.slots[si] = ev
 		b := &e.buckets[ev.at&calMask]
-		b.ev = append(b.ev, ev)
+		b.ev = append(b.ev, si)
 	}
 }
 
@@ -530,9 +528,6 @@ func (e *Engine) migrate() {
 func (e *Engine) peek() (Cycle, bool) {
 	if e.cnt == 0 {
 		return 0, false
-	}
-	if e.mode == engineHeap {
-		return e.events[0].at, true
 	}
 	if e.nextValid {
 		return e.nextAt, true
@@ -550,39 +545,6 @@ func (e *Engine) peek() (Cycle, bool) {
 	}
 	e.nextAt, e.nextValid = e.far[0].at, true
 	return e.nextAt, true
-}
-
-// pop removes and returns the earliest event, advancing the clock to
-// its cycle. It must only be called when at least one event is pending.
-func (e *Engine) pop() event {
-	if e.mode == engineHeap {
-		e.cnt--
-		ev := heap.Pop(&e.events).(event)
-		if !e.slackLogged(&ev) {
-			e.slack0--
-		}
-		e.now = ev.at
-		return ev
-	}
-	t, _ := e.peek()
-	e.cnt--
-	if t != e.now {
-		e.now = t
-		e.migrate()
-	}
-	b := &e.buckets[t&calMask]
-	ev := b.ev[b.head]
-	b.ev[b.head] = event{} // release references; the array is long-lived
-	b.head++
-	if !e.slackLogged(&ev) {
-		e.slack0--
-	}
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
-		e.nextValid = false
-	}
-	return ev
 }
 
 // stopPollEvents is the cancellation poll interval of the serial run
@@ -671,13 +633,38 @@ func (e *Engine) checkWatchdog() bool {
 }
 
 // Step executes the single earliest event, advancing the clock to its
-// cycle. It reports whether an event was executed.
+// cycle. It reports whether an event was executed. The event fires
+// from its slab slot. The slot is freed, and a drained bucket reset,
+// only after the handler returns, so the handler's own schedules can
+// neither reuse the slot nor land ahead of it in the bucket.
 func (e *Engine) Step() bool {
 	if e.cnt == 0 {
 		return false
 	}
-	ev := e.pop()
+	t, _ := e.peek()
+	e.cnt--
+	if t != e.now {
+		e.now = t
+		e.migrate()
+	}
+	b := &e.buckets[t&calMask]
+	si := b.ev[b.head]
+	b.head++
+	ev := &e.slots[si]
+	if !e.slackLogged(ev.slack) {
+		e.slack0--
+	}
 	ev.fire()
+	// Release the payload's references. The handler may have grown the
+	// slab, so index the live array.
+	ev = &e.slots[si]
+	ev.fn, ev.actor, ev.data = nil, nil, nil
+	e.free = append(e.free, si)
+	if b.head == len(b.ev) {
+		b.ev = b.ev[:0]
+		b.head = 0
+		e.nextValid = false
+	}
 	return true
 }
 
@@ -721,9 +708,7 @@ func (e *Engine) RunUntil(t Cycle) int {
 	// ring cannot represent a past cycle, so neither mode jumps).
 	if at, ok := e.peek(); e.now < t && (!ok || at > t) {
 		e.now = t
-		if e.mode == engineCalendar {
-			e.migrate()
-		}
+		e.migrate()
 	}
 	return n
 }

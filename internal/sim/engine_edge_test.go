@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 )
 
@@ -78,8 +79,8 @@ func TestPendingAcrossSameCycleBursts(t *testing.T) {
 	}
 }
 
-// engines lists the two scheduler implementations for differential
-// runs.
+// engines lists the engine constructors: the zero-value engine, whose
+// buckets grow from nil, and the pre-seeded one sharded members use.
 func engines() []struct {
 	name string
 	new  func() *Engine
@@ -88,23 +89,82 @@ func engines() []struct {
 		name string
 		new  func() *Engine
 	}{
-		{"calendar", NewCalendarEngine},
-		{"heap", NewHeapEngine},
+		{"zero", NewEngine},
+		{"seeded", NewCalendarEngine},
 	}
 }
 
-// TestHeapCalendarDifferential replays one randomized schedule on both
-// engine implementations and requires identical execution traces:
-// (cycle, id) for every fired event, with self-rescheduling handlers
-// that stress the near/far boundary (offsets straddling the calendar
-// window) and same-cycle FIFO order.
+// refQueue is the reference scheduler for the differential test: a
+// slice kept sorted by (cycle, scheduling order), popped from the
+// front. It defines the firing order the calendar queue must match
+// event for event, with none of its machinery (ring, far heap,
+// earliest-cycle cache, in-place slots).
+type refQueue struct {
+	now Cycle
+	evs []refEvent
+}
+
+type refEvent struct {
+	at Cycle
+	fn func()
+}
+
+func (q *refQueue) Now() Cycle { return q.now }
+
+// At inserts fn after every pending event at or before t, which is
+// (cycle, sequence) order because insertions arrive in sequence order.
+func (q *refQueue) At(t Cycle, fn func()) {
+	if t < q.now {
+		t = q.now
+	}
+	i := sort.Search(len(q.evs), func(i int) bool { return q.evs[i].at > t })
+	q.evs = append(q.evs, refEvent{})
+	copy(q.evs[i+1:], q.evs[i:])
+	q.evs[i] = refEvent{at: t, fn: fn}
+}
+
+func (q *refQueue) After(d Cycle, fn func()) { q.At(q.now+d, fn) }
+
+func (q *refQueue) Run(limit int) int {
+	n := 0
+	for len(q.evs) > 0 && (limit <= 0 || n < limit) {
+		ev := q.evs[0]
+		q.evs = q.evs[1:]
+		q.now = ev.at
+		ev.fn()
+		n++
+	}
+	return n
+}
+
+// scheduler is the closure-scheduling surface both queues share.
+type scheduler interface {
+	Now() Cycle
+	At(Cycle, func())
+	After(Cycle, func())
+	Run(int) int
+}
+
+// funcActor fires the closure carried in an event's data word, so the
+// differential test can route half its events through AtEvent.
+type funcActor struct{}
+
+func (funcActor) OnEvent(op int, arg uint64, data any) { data.(func())() }
+
+// TestHeapCalendarDifferential replays one randomized schedule on the
+// calendar engine (both constructions) and on the reference queue and
+// requires identical execution traces: (cycle, id) for every fired
+// event, with self-rescheduling handlers that stress the near/far
+// boundary (offsets straddling the calendar window) and same-cycle
+// FIFO order. On the engine, odd ids go through AfterEvent and even
+// ids through After, so reused bucket slots alternate between closure
+// and actor payloads.
 func TestHeapCalendarDifferential(t *testing.T) {
 	type step struct {
 		at Cycle
 		id int
 	}
-	run := func(mk func() *Engine) []step {
-		e := mk()
+	run := func(e scheduler) []step {
 		rng := NewRNG(0xD1FF)
 		var trace []step
 		nextID := 0
@@ -119,7 +179,12 @@ func TestHeapCalendarDifferential(t *testing.T) {
 					for i := 0; i < 2; i++ {
 						nextID++
 						d := offsets[rng.Intn(len(offsets))]
-						e.After(d, fire(nextID, depth-1))
+						f := fire(nextID, depth-1)
+						if eng, ok := e.(*Engine); ok && nextID%2 == 1 {
+							eng.AfterEvent(d, funcActor{}, 0, 0, f)
+						} else {
+							e.After(d, f)
+						}
 					}
 				}
 			}
@@ -131,19 +196,21 @@ func TestHeapCalendarDifferential(t *testing.T) {
 		e.Run(1_000_000)
 		return trace
 	}
-	// Both runs draw from identically-seeded RNGs, so the schedules are
-	// the same; only the queue implementation differs.
-	cal := run(NewCalendarEngine)
-	hp := run(NewHeapEngine)
-	if len(cal) != len(hp) {
-		t.Fatalf("trace length: calendar=%d heap=%d", len(cal), len(hp))
-	}
-	for i := range cal {
-		if cal[i] != hp[i] {
-			t.Fatalf("trace diverges at %d: calendar=%+v heap=%+v", i, cal[i], hp[i])
-		}
-	}
-	if len(cal) == 0 {
+	// Every run draws from an identically-seeded RNG, so the schedules
+	// are the same; only the queue implementation differs.
+	ref := run(&refQueue{})
+	if len(ref) == 0 {
 		t.Fatal("empty trace")
+	}
+	for _, mk := range engines() {
+		cal := run(mk.new())
+		if len(cal) != len(ref) {
+			t.Fatalf("%s: trace length: calendar=%d reference=%d", mk.name, len(cal), len(ref))
+		}
+		for i := range cal {
+			if cal[i] != ref[i] {
+				t.Fatalf("%s: trace diverges at %d: calendar=%+v reference=%+v", mk.name, i, cal[i], ref[i])
+			}
+		}
 	}
 }

@@ -458,7 +458,7 @@ func (se *ShardedEngine) drainInbound(j int, q uint32) {
 	// general sort here — and unlike sort.SliceStable it allocates
 	// nothing. Sorted hand-off keeps the per-event insertMerged an
 	// append in the common case (the destination bucket walk in
-	// schedule() would restore the order regardless).
+	// reserve() would restore the order regardless).
 	for i := 1; i < len(buf); i++ {
 		for k := i; k > 0 && (buf[k].ev.at < buf[k-1].ev.at ||
 			(buf[k].ev.at == buf[k-1].ev.at && buf[k].ev.seq < buf[k-1].ev.seq)); k-- {
@@ -466,7 +466,7 @@ func (se *ShardedEngine) drainInbound(j int, q uint32) {
 		}
 	}
 	for i := range buf {
-		dst.insertMerged(buf[i].ev)
+		dst.insertMerged(&buf[i].ev)
 		buf[i] = outPost{}
 	}
 	dst.gather = buf[:0]

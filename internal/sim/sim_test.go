@@ -300,6 +300,22 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	e.Run(0)
 }
 
+// BenchmarkEngineActorScheduleRun times the closure-free path every
+// simulated message takes (AtEvent + fire through an Actor), with the
+// same near-term offset mix as BenchmarkEngineScheduleRun.
+func BenchmarkEngineActorScheduleRun(b *testing.B) {
+	e := NewEngine()
+	a := &nopActor{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.AtEvent(e.Now()+Cycle(i%64), a, i&7, uint64(i), a)
+		if e.Pending() > 1024 {
+			e.Run(512)
+		}
+	}
+	e.Run(0)
+}
+
 func TestEngineDrainDoesNotJumpClock(t *testing.T) {
 	e := NewEngine()
 	e.At(5, func() {})

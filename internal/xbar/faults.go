@@ -338,7 +338,10 @@ func (n *Network) linkRetries(ol *outLink) int {
 // (p, v) it already occupies, reports the structured error, and
 // performs the bookkeeping a pop would have done (credit return, arb
 // re-arm). Fault handling is serial-only, so charging the default
-// domain's counters is safe.
+// domain's counters is safe. The arbitration candidates need no
+// update: arrive drops t before registering it, and when t is the
+// head, only reserved placeholders can sit behind it (landings fill
+// reservations in order), so the queue has no landed head either way.
 func (n *Network) dropUnroutable(sw *swc, p topo.Port, v int, t *tx) {
 	q := &sw.in[p][v]
 	for i, e := range q.q {
@@ -360,8 +363,10 @@ func (n *Network) dropUnroutable(sw *swc, p topo.Port, v int, t *tx) {
 // serialized onto a wire are revalidated on arrival instead
 // (arriveReserved). The walk is done in three ordered phases so no
 // arbitration can fire while a doomed message still sits at a queue
-// head: fix all routes, splice out the unroutable, then re-kick the
-// whole fabric (cheap — fault events are rare — and idempotent).
+// head: fix all routes, splice out the unroutable, then rebuild every
+// switch's arbitration candidates from its (possibly rerouted) heads
+// and re-kick the whole fabric (cheap — fault events are rare — and
+// idempotent).
 func (n *Network) refloodRoutes() {
 	type doomed struct {
 		sw   *swc
@@ -414,6 +419,7 @@ func (n *Network) refloodRoutes() {
 		}
 	}
 	for i := range n.switches {
+		n.resyncCands(&n.switches[i])
 		n.armArb(&n.switches[i])
 	}
 	for i := range n.injProc {

@@ -41,6 +41,7 @@ package xbar
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
@@ -149,6 +150,10 @@ type domain struct {
 	// collide; IDs are only ever compared for equality (dedup maps), so
 	// the encoding is unobservable in simulation results.
 	nextID uint64
+	// want is runArb's snapshot of a switch's wantOut mask. Passes never
+	// nest and a domain runs on one engine, so one buffer serves every
+	// switch the domain owns.
+	want []uint64
 }
 
 // newTx hands out a recycled (zeroed) tx, or a fresh one when the
@@ -280,7 +285,20 @@ type swc struct {
 	// down marks whole-switch failure: the directory snoop is dead and
 	// traversals pay DegradedPenalty (see faults.go).
 	down bool
+	// cand holds one candidate set per output port, inWords words each:
+	// bit p*VCsPerPort+v of output out's set is on iff input queue (p, v)
+	// has a landed head whose next hop leaves on out. wantOut has bit out
+	// on iff that set is non-empty. Both change only where a queue head
+	// does (arrive, opInjArrive, grant's pop, and the resync after a
+	// fault; see dropUnroutable for why it needs none), so arbitration
+	// visits exactly the queues that want each free output instead of
+	// scanning every port × VC.
+	cand    []uint64
+	wantOut []uint64
 }
+
+// qIndex numbers input queue (p, v) for the candidate sets.
+func qIndex(p, v int) int { return p*VCsPerPort + v }
 
 // Network is the full BMIN with endpoint attachment points.
 type Network struct {
@@ -293,8 +311,13 @@ type Network struct {
 	// 0, then rank 1, …) as a flat value slice; port arrays are carved
 	// from shared slabs so one rank's state is contiguous in memory.
 	switches []swc
-	procH    []Handler
-	memH     []Handler
+	// inWords and outWords size the per-switch bitmasks: words per
+	// candidate set (one bit per input queue) and words of wantOut (one
+	// bit per output port).
+	inWords, outWords int
+
+	procH []Handler
+	memH  []Handler
 	// injq serializes endpoint injection: per endpoint-link pending
 	// messages (unbounded: the NI's outbound queue) plus link state.
 	injProc []injLink
@@ -338,27 +361,42 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 	if cfg.VCQueueMsgs == 0 {
 		cfg.VCQueueMsgs = DefaultVCQueueMsgs
 	}
-	d := &domain{eng: eng, rc: topo.NewRouteCache(tp, cfg.RouteCacheEntries)}
 	n := &Network{
 		eng:       eng,
 		tp:        tp,
 		cfg:       cfg,
 		core:      cfg.CoreCycles,
 		creditLat: cfg.CoreCycles + mesg.LinkCyclesPerFlit,
+		inWords:   words(VCsPerPort * (2*tp.Radix + 1)),
+		outWords:  words(2 * tp.Radix),
 		procH:     make([]Handler, tp.Nodes),
 		memH:      make([]Handler, tp.Nodes),
 		injProc:   make([]injLink, tp.Nodes),
 		injMem:    make([]injLink, tp.Nodes),
-		doms:      []*domain{d},
 		procDom:   make([]*domain, tp.Nodes),
 		memDom:    make([]*domain, tp.Nodes),
 	}
+	d := n.newDomain(eng, 0)
+	n.doms = []*domain{d}
 	for i := 0; i < tp.Nodes; i++ {
 		n.procDom[i] = d
 		n.memDom[i] = d
 	}
 	n.build()
 	return n
+}
+
+// words reports how many 64-bit words hold an n-bit mask.
+func words(n int) int { return (n + 63) / 64 }
+
+// newDomain builds the state domain of one engine.
+func (n *Network) newDomain(eng *sim.Engine, shard int) *domain {
+	return &domain{
+		eng:   eng,
+		shard: shard,
+		rc:    topo.NewRouteCache(n.tp, n.cfg.RouteCacheEntries),
+		want:  make([]uint64, n.outWords),
+	}
 }
 
 // Lookahead reports the minimum latency of any switch-to-switch
@@ -452,7 +490,7 @@ func (n *Network) LookaheadMatrix() [][]sim.Cycle {
 func (n *Network) Shard(engs []*sim.Engine, swShard, procShard, memShard []int) {
 	n.doms = make([]*domain, len(engs))
 	for i, e := range engs {
-		n.doms[i] = &domain{eng: e, shard: i, rc: topo.NewRouteCache(n.tp, n.cfg.RouteCacheEntries)}
+		n.doms[i] = n.newDomain(e, i)
 	}
 	for i := range n.switches {
 		n.switches[i].dom = n.doms[swShard[n.switches[i].ord]]
@@ -490,19 +528,23 @@ func (n *Network) endDom(e mesg.End) *domain {
 }
 
 // build wires switches and links from the topology's Peer oracle, so
-// the same code covers every stage count. Port arrays are carved from
-// three fabric-wide slabs in ordinal (stage-major) order: a rank's —
-// and hence a shard subtree's — switch state is contiguous in memory,
-// and construction does three allocations instead of three per switch.
+// the same code covers every stage count. Port arrays and arbitration
+// masks are carved from five fabric-wide slabs in ordinal
+// (stage-major) order: a rank's — and hence a shard subtree's — switch
+// state is contiguous in memory, and construction does five
+// allocations instead of five per switch.
 func (n *Network) build() {
 	tp := n.tp
 	r := tp.Radix
 	total := tp.NumSwitches()
 	nin, nout := 2*r+1, 2*r
+	ncand := nout * n.inWords
 	n.switches = make([]swc, total)
 	inSlab := make([][VCsPerPort]vcq, total*nin)
 	outSlab := make([]outLink, total*nout)
 	upsSlab := make([]upstream, total*nin)
+	candSlab := make([]uint64, total*ncand)
+	wantSlab := make([]uint64, total*n.outWords)
 	for ord := 0; ord < total; ord++ {
 		s := &n.switches[ord]
 		s.id = tp.OrdinalSwitch(ord)
@@ -511,6 +553,8 @@ func (n *Network) build() {
 		s.in = inSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
 		s.out = outSlab[ord*nout : (ord+1)*nout : (ord+1)*nout]
 		s.ups = upsSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
+		s.cand = candSlab[ord*ncand : (ord+1)*ncand : (ord+1)*ncand]
+		s.wantOut = wantSlab[ord*n.outWords : (ord+1)*n.outWords : (ord+1)*n.outWords]
 		for p := range s.in {
 			for v := 0; v < VCsPerPort; v++ {
 				s.in[p][v].cap = n.cfg.VCQueueMsgs
@@ -652,8 +696,13 @@ func (n *Network) OnEvent(op int, arg uint64, data any) {
 		t := data.(*tx)
 		sw := &n.switches[arg]
 		t.enqueued = sw.dom.eng.Now()
-		sw.in[len(sw.in)-1][vcFor(t.m)].push(t)
+		p, v := len(sw.in)-1, vcFor(t.m)
+		q := &sw.in[p][v]
+		q.push(t)
 		sw.queued++
+		if len(q.q) == 1 {
+			n.addCand(sw, qIndex(p, v), t.hops[t.hopIdx].Out)
+		}
 		n.armArb(sw)
 	}
 }
@@ -741,7 +790,55 @@ func (n *Network) arrive(sw *swc, p topo.Port, v int, t *tx) {
 		n.dropUnroutable(sw, p, v, t)
 		return
 	}
+	if q.q[0] == t {
+		n.addCand(sw, qIndex(int(p), v), t.hops[t.hopIdx].Out)
+	}
 	n.armArb(sw)
+}
+
+// addCand marks input queue qi as a candidate for output out.
+func (n *Network) addCand(sw *swc, qi int, out topo.Port) {
+	o := int(out)
+	sw.cand[o*n.inWords+qi>>6] |= 1 << uint(qi&63)
+	sw.wantOut[o>>6] |= 1 << uint(o&63)
+}
+
+// dropCand clears input queue qi from output out's candidate set (a
+// no-op when it is not there), clearing out's wantOut bit when the set
+// empties.
+func (n *Network) dropCand(sw *swc, qi int, out topo.Port) {
+	o := int(out)
+	set := sw.cand[o*n.inWords : (o+1)*n.inWords]
+	set[qi>>6] &^= 1 << uint(qi&63)
+	for _, w := range set {
+		if w != 0 {
+			return
+		}
+	}
+	sw.wantOut[o>>6] &^= 1 << uint(o&63)
+}
+
+// noteHead adds queue (p, v)'s head to the candidate set of its next
+// output, if the head is a landed message (not empty, not a placeholder).
+func (n *Network) noteHead(sw *swc, p, v int) {
+	q := &sw.in[p][v]
+	if len(q.q) == 0 || q.q[0] == nil {
+		return
+	}
+	h := q.q[0]
+	n.addCand(sw, qIndex(p, v), h.hops[h.hopIdx].Out)
+}
+
+// resyncCands rebuilds sw's candidate sets from its queue heads, for
+// the rare events (faults) that rewrite routes of queued messages.
+func (n *Network) resyncCands(sw *swc) {
+	clear(sw.cand)
+	clear(sw.wantOut)
+	for p := range sw.in {
+		for v := 0; v < VCsPerPort; v++ {
+			n.noteHead(sw, p, v)
+		}
+	}
 }
 
 // armArb schedules sw's coalesced arbitration pass for the current
@@ -769,36 +866,26 @@ func (n *Network) armArb(sw *swc) {
 func (n *Network) runArb(sw *swc) {
 	sw.arbArmed = false
 	now := sw.dom.eng.Now()
+	want := sw.dom.want
 	for {
-		// One scan over the queue heads tells us which outputs have any
-		// candidate at all; only those pay a pickOldest pass. Decisions
-		// stay lazy per output (tryOutput rescans at its turn), so heads
-		// exposed by an earlier grant in the same sweep are seen by
-		// later outputs exactly as a full sweep would see them; a head
-		// exposed for an output not in this sweep's mask is caught by
-		// the next fixpoint iteration at the same cycle.
-		var wanted uint64
-		if len(sw.out) > 64 {
-			wanted = ^uint64(0) // mask can't cover the ports; full sweep
-		} else {
-			for p := range sw.in {
-				for v := 0; v < VCsPerPort; v++ {
-					q := &sw.in[p][v]
-					if q.empty() || q.head() == nil {
-						continue
-					}
-					h := q.head()
-					wanted |= 1 << uint(h.hops[h.hopIdx].Out)
-				}
-			}
-		}
+		// Snapshot which outputs have any candidate at all; only those,
+		// in ascending port order, pay a pickOldest pass. Decisions stay
+		// lazy per output (pickOldest reads the live candidate set at its
+		// turn), so heads exposed by an earlier grant in the same sweep
+		// are seen by later outputs in the snapshot; a head exposed for
+		// an output not in the snapshot is caught by the next fixpoint
+		// iteration at the same cycle.
+		copy(want, sw.wantOut)
 		granted := false
-		for out := range sw.out {
-			if wanted&(1<<uint(out)) == 0 || sw.out[out].freeAt > now {
-				continue
-			}
-			if n.tryOutput(sw, topo.Port(out)) {
-				granted = true
+		for wi, w := range want {
+			for ; w != 0; w &= w - 1 {
+				out := wi<<6 | bits.TrailingZeros64(w)
+				if sw.out[out].freeAt > now {
+					continue
+				}
+				if n.tryOutput(sw, topo.Port(out)) {
+					granted = true
+				}
 			}
 		}
 		if !granted {
@@ -832,31 +919,28 @@ func (n *Network) tryOutput(sw *swc, out topo.Port) bool {
 }
 
 // pickOldest returns the input queue (port, vc) whose head is the
-// oldest message destined for out. Heads blocked by exhausted credit
-// are not skipped: age order holds the output for them (the grant
-// attempt fails and the port waits for credit), preserving the
-// paper's age-based arbitration fairness.
+// oldest message destined for out, walking out's candidate set in
+// ascending queue order so age ties go to the lowest (port, vc). Heads
+// blocked by exhausted credit are not skipped: age order holds the
+// output for them (the grant attempt fails and the port waits for
+// credit), preserving the paper's age-based arbitration fairness.
 func (n *Network) pickOldest(sw *swc, out topo.Port) (int, int, bool) {
-	bp, bv := 0, 0
-	found := false
+	o := int(out)
+	best := -1
 	var bestAge sim.Cycle
-	for p := range sw.in {
-		for v := 0; v < VCsPerPort; v++ {
-			q := &sw.in[p][v]
-			if q.empty() || q.head() == nil {
-				continue
-			}
-			h := q.head()
-			if h.hops[h.hopIdx].Out != out {
-				continue
-			}
-			if !found || h.injected < bestAge {
-				bp, bv, found = p, v, true
-				bestAge = h.injected
+	for wi, w := range sw.cand[o*n.inWords : (o+1)*n.inWords] {
+		for ; w != 0; w &= w - 1 {
+			qi := wi<<6 | bits.TrailingZeros64(w)
+			h := sw.in[qi/VCsPerPort][qi%VCsPerPort].q[0]
+			if best < 0 || h.injected < bestAge {
+				best, bestAge = qi, h.injected
 			}
 		}
 	}
-	return bp, bv, found
+	if best < 0 {
+		return 0, 0, false
+	}
+	return best / VCsPerPort, best % VCsPerPort, true
 }
 
 // grant moves the head of input queue (p, v) across output port out.
@@ -873,8 +957,10 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 	if ol.toSwitch >= 0 && ol.credit[vcFor(t.m)] == 0 {
 		return false
 	}
+	n.dropCand(sw, qIndex(p, v), out)
 	q.pop()
 	sw.queued--
+	n.noteHead(sw, p, v)
 	now := eng.Now()
 	dom.stats.QueueWait += uint64(now - t.enqueued)
 
