@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-race test-race-sharded vet lint lint-json bench bench-short bench-compare bench-parallel-gate figures figures-paper fuzz fuzz-short e2e clean
+.PHONY: all check build test test-race vet lint lint-json bench bench-short bench-compare bench-heap-gate figures figures-paper fuzz fuzz-short e2e clean
 
 all: check
 
@@ -18,8 +18,8 @@ vet:
 
 # The project analyzers (docs/ANALYSIS.md): determinism, protocol-enum
 # exhaustiveness, message ownership, counter monotonicity, plus the
-# CFG/dataflow checks over the concurrent core (shard isolation, lock
-# discipline, cancellation, fsync ordering). Running the tool through
+# CFG/dataflow checks over the serving layer (lock discipline,
+# cancellation, fsync ordering). Running the tool through
 # `go vet -vettool=` gets per-package result caching keyed on the tool
 # binary's hash.
 lint:
@@ -36,27 +36,15 @@ lint-json:
 test:
 	go test ./...
 
-# The fast race pass skips the serial-vs-sharded differential suite
-# (the single longest race run); test-race-sharded carries it.
+# Every package under the race detector, the serving layer included:
+# it is the concurrency-dense package the lockheld/ctxflow analyzers
+# guard statically, and the dynamic check keeps the static one honest.
 test-race:
-	go test -race -skip 'TestSerialShardedDifferential|TestShardedPaperScaleSmoke' ./...
-
-# The sharded-engine race gate on its own: the serial-vs-sharded
-# differential test drives every workload across 2/4/8 workers under
-# the race detector, which is the proof that the quantum-barrier
-# protocol has no unsynchronized cross-shard access. Split out from
-# the fast path because it is the single longest race run; CI gives it
-# a dedicated job, and the same job carries a full race pass over the
-# serving layer (the other concurrency-dense package, and the one the
-# lockheld/ctxflow analyzers guard statically — the dynamic check
-# keeps the static one honest).
-test-race-sharded:
-	go test -race -run 'Sharded|Differential' ./internal/sim/... ./internal/figures/...
-	go test -race ./internal/serve/...
+	go test -race ./...
 
 # One iteration of every benchmark, including the figure regenerators,
-# the design-space ablations (reduced inputs), the sharded-engine
-# scaling points, and the serving layer's submit-to-result latency
+# the design-space ablations (reduced inputs), the scalability points,
+# and the serving layer's submit-to-result latency
 # (cached vs uncached). The results are rendered into BENCH_8.json via
 # cmd/benchjson after an informational comparison against the committed
 # copy; commit the refreshed file when a perf change is intentional.
@@ -100,13 +88,11 @@ bench-short:
 	go test -run '^$$' -bench ArbHotSwitch -benchmem -count $(BENCH_COUNT) ./internal/xbar >> bench_short.out
 	bin/benchjson -in bench_short.out -out bench_short.json -baseline BENCH_8.json $(if $(ENFORCE),-enforce)
 
-# The parallel-speedup gate (scripts/benchgate.sh): BenchmarkShardedFFT
-# at 8 workers must beat 1 worker, else the sharded engine's
-# coordination has regressed into pure overhead. Skips (exit 0, with a
-# message) on hosts with fewer than 8 CPUs, where the 8-worker run
-# would time-slice and measure the scheduler instead of the protocol.
-bench-parallel-gate:
-	sh scripts/benchgate.sh
+# The memory-ceiling gate (scripts/heapgate.sh): the 256-node live
+# heap must stay under 16x the 64-node one, or route state has gone
+# back to growing quadratically with the node count.
+bench-heap-gate:
+	sh scripts/heapgate.sh
 
 # The paper's result figures at reduced scale (fast) and full scale.
 figures:

@@ -20,7 +20,6 @@ import (
 	"dresar/internal/core"
 	"dresar/internal/figures"
 	"dresar/internal/sdir"
-	"dresar/internal/sim"
 	"dresar/internal/workload"
 )
 
@@ -423,108 +422,5 @@ func BenchmarkAblationBufferDepth(b *testing.B) {
 			b.ReportMetric(float64(s0.Cycles-s1.Cycles)/float64(s0.Cycles), "deep-buffer-gain")
 			b.ReportMetric(float64(s0.Cycles-s2.Cycles)/float64(s0.Cycles), "switch-dir-gain")
 		}
-	}
-}
-
-// --- Sharded engine (DESIGN.md "Parallel execution model") ---
-
-// BenchmarkShardedFFT runs the same FFT cell on the serial engine and
-// on the sharded parallel engine at increasing worker counts. The
-// simulated statistics are cycle-identical at every width (the
-// differential test asserts it); what this measures is the wall-clock
-// cost/benefit of the quantum-barrier machinery, which is a speedup
-// only when real cores back the workers — on a single-CPU host the
-// >1-worker variants report pure coordination overhead.
-// benchActor adapts a function to sim.Actor for the synthetic engine
-// microbenchmarks below.
-type benchActor func(op int, arg uint64, data any)
-
-func (f benchActor) OnEvent(op int, arg uint64, data any) { f(op, arg, data) }
-
-// BenchmarkShardedBarrierOnly isolates the synchronization protocol:
-// every shard runs a 1-cycle self-reschedule ticker and nothing ever
-// crosses shards, so granted windows stay near the lookahead floor and
-// the measured cost is round churn — horizon gather, window grant, and
-// the padded-flag barrier — with negligible model work. This is the
-// overhead every real workload pays per round; it must stay flat as
-// workers grow or wide machines lose their parallel win to the fabric.
-func BenchmarkShardedBarrierOnly(b *testing.B) {
-	const cycles = 1 << 15
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				se := sim.NewShardedEngine(workers, 8)
-				engs := se.Engines()
-				var tick benchActor
-				tick = func(op int, arg uint64, data any) {
-					e := engs[int(arg)]
-					if e.Now() < cycles {
-						e.AfterEvent(1, tick, 0, arg, nil)
-					}
-				}
-				for p := range engs {
-					engs[p].AtEvent(0, tick, 0, uint64(p), nil)
-				}
-				if n := se.Run(0); n != workers*(cycles+1) {
-					b.Fatalf("executed %d events, want %d", n, workers*(cycles+1))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCrossShardHeavy is the opposite extreme: an all-to-all
-// kernel where every shard posts one message to every other shard each
-// lookahead period. This saturates the per-pair staging lanes and the
-// destination-side merge — the direct shard-to-shard exchange path that
-// replaced the coordinator's global concat-and-sort — so regressions in
-// lane staging, parity draining, or merge insertion show up here first.
-func BenchmarkCrossShardHeavy(b *testing.B) {
-	const (
-		lat    = sim.Cycle(8)
-		cycles = sim.Cycle(1 << 13)
-	)
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				se := sim.NewShardedEngine(workers, lat)
-				engs := se.Engines()
-				var sink benchActor = func(op int, arg uint64, data any) {}
-				var tick benchActor
-				tick = func(op int, arg uint64, data any) {
-					me := int(arg)
-					e := engs[me]
-					for p := range engs {
-						if p != me {
-							e.Post(engs[p], e.Now()+lat, sink, 0, 0, nil)
-						}
-					}
-					if e.Now()+lat < cycles {
-						e.AfterEvent(lat, tick, 0, arg, nil)
-					}
-				}
-				for p := range engs {
-					engs[p].AtEvent(0, tick, 0, uint64(p), nil)
-				}
-				se.Run(0)
-			}
-		})
-	}
-}
-
-func BenchmarkShardedFFT(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var cycles float64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultConfig().WithSwitchDir(1024)
-				cfg.ShardWorkers = workers
-				s := runKernel(b, cfg, ablationFFT())
-				cycles = float64(s.Cycles)
-			}
-			b.ReportMetric(cycles, "simcycles")
-		})
 	}
 }

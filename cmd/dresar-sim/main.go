@@ -5,7 +5,6 @@
 //
 //	dresar-sim -app fft [-entries 1024] [-size 16384] [-nodes 16]
 //	           [-policy retry|bitvector] [-pending 0] [-check]
-//	           [-shard-workers N]
 //	           [-faults drop=20,dup=10,seed=7]
 //	           [-net-faults linkdown=0:4@5000,switchdown=6@8000]
 //	           [-watchdog 1000000]
@@ -17,15 +16,8 @@
 // single-threaded simulation, so the tables do not depend on -workers —
 // and prints Figures 8–11.
 //
-// -shard-workers > 1 executes the single-run machine on the sharded
-// parallel engine (cycle-identical statistics at any worker count;
-// see DESIGN.md "Parallel execution model"); the environment variable
-// DRESAR_ENGINE=sharded does the same with a CPU-derived width.
-// Incompatible with -faults/-net-faults/-watchdog (serial-only
-// features). -cpuprofile/-memprofile write pprof profiles, and
-// -exectrace writes a runtime/trace execution trace — `go tool trace`
-// on it shows per-shard goroutine timelines, barrier stalls, and shard
-// imbalance directly (see EXPERIMENTS.md).
+// -cpuprofile/-memprofile write pprof profiles, and -exectrace writes
+// a runtime/trace execution trace for `go tool trace`.
 //
 // -entries 0 runs the base system with no switch directories. -size is
 // the kernel's input parameter (points for FFT, matrix/grid dimension
@@ -77,7 +69,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the full figure sweep (every app × directory size) instead of one kernel")
 	scale := flag.String("scale", "small", "sweep input scale: small or paper")
 	workers := flag.Int("workers", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = serial)")
-	shardWorkers := flag.Int("shard-workers", 0, "intra-run shard count (0 = serial unless DRESAR_ENGINE=sharded, 1 = serial, >1 = parallel engine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	exectrace := flag.String("exectrace", "", "write a runtime/trace execution trace to this file (inspect with `go tool trace`)")
@@ -121,7 +112,6 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Nodes, cfg.Radix = *nodes, *radix
 	cfg.CheckCoherence = *check
-	cfg.ShardWorkers = *shardWorkers
 	cfg.Faults = plan
 	cfg.NetFaults = netPlan
 	cfg.Watchdog = sim.Cycle(*watchdog)

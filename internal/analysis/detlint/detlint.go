@@ -14,13 +14,10 @@
 //     into simulated time);
 //   - `go` statements (each engine is strictly single-threaded;
 //     goroutine interleaving is nondeterministic by definition). The
-//     exceptions are registered per *function* (goAllowedFuncs), not
+//     exception is registered per *function* (goAllowedFuncs), not
 //     per package: figures.SweepN fans whole single-threaded
-//     simulations out over a worker pool and joins them, and
-//     sim.(*ShardedEngine).Run is the one place the conservative-PDES
-//     coordinator may start its shard workers — the quantum-barrier
-//     protocol makes the interleaving unobservable. Everywhere else,
-//     including the rest of those two packages, `go` stays flagged.
+//     simulations out over a worker pool and joins them. Everywhere
+//     else, including the rest of that package, `go` stays flagged.
 //
 // A map range is allowed when its body is order-insensitive: pure
 // reads, accumulation through builtins (`keys = append(keys, k)`
@@ -62,17 +59,14 @@ var scope = map[string]bool{
 
 // goAllowedFuncs is the scoped goroutine exception registry: package
 // path -> exact function names (methods spelled "(*Recv).Name") whose
-// bodies may start goroutines. Admitted are only the two places where
+// bodies may start goroutines. Admitted is only the place where
 // goroutines provably cannot perturb simulated behavior: SweepCtx
 // (which SweepN wraps) joins independent single-threaded simulations
-// before returning, and the sharded coordinator's Run confines
-// cross-shard interaction to the deterministic quantum-barrier merge.
-// A `go` statement anywhere else in a scope package — including
-// elsewhere in these two packages — is flagged; every other rule (map
-// order, wall clock, global rand) applies inside the admitted
-// functions too. "sweep" is the fixture.
+// before returning. A `go` statement anywhere else in a scope package
+// — including elsewhere in figures — is flagged; every other rule (map
+// order, wall clock, global rand) applies inside the admitted function
+// too. "sweep" is the fixture.
 var goAllowedFuncs = map[string]map[string]bool{
-	"dresar/internal/sim":     {"(*ShardedEngine).Run": true},
 	"dresar/internal/figures": {"SweepCtx": true},
 	"sweep":                   {"pool": true},
 }

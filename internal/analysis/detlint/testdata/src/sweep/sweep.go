@@ -1,6 +1,6 @@
-// Package sweep is the goAllowedFuncs fixture: it stands in for the
-// packages with registered goroutine exceptions (figures.SweepN,
-// sim.(*ShardedEngine).Run). Only the registered function — here,
+// Package sweep is the goAllowedFuncs fixture: it stands in for a
+// package with a registered goroutine exception (figures.SweepN).
+// Only the registered function — here,
 // pool — may start goroutines; a `go` statement anywhere else in the
 // same package is still flagged, and every other determinism rule
 // still applies inside the allowed function.

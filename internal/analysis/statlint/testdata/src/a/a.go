@@ -29,7 +29,7 @@ func subAssign(s *xbar.Stats) {
 }
 
 // wholeReset overwrites every counter at once (through fault's
-// exported Stats field; xbar's moved behind per-domain shards).
+// exported Stats field).
 func wholeReset(in *fault.Injector) {
 	in.Stats = fault.Stats{} // want `statlint: assignment to dresar/internal/fault\.Stats field`
 }

@@ -11,19 +11,17 @@ import (
 	"dresar/internal/analysis/kindswitch"
 	"dresar/internal/analysis/lockheld"
 	"dresar/internal/analysis/msgown"
-	"dresar/internal/analysis/shardsafe"
 	"dresar/internal/analysis/statlint"
 )
 
 // All is the full suite in documentation order (docs/ANALYSIS.md): the
-// four AST analyzers from the original gate, then the four CFG/dataflow
-// analyzers over the concurrent core.
+// four AST analyzers from the original gate, then the three CFG/dataflow
+// analyzers over the concurrent serving layer.
 var All = []*analysis.Analyzer{
 	detlint.Analyzer,
 	kindswitch.Analyzer,
 	msgown.Analyzer,
 	statlint.Analyzer,
-	shardsafe.Analyzer,
 	lockheld.Analyzer,
 	ctxflow.Analyzer,
 	fsyncorder.Analyzer,

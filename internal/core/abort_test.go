@@ -37,69 +37,27 @@ func TestMachineAbortSerial(t *testing.T) {
 	}
 }
 
-// TestMachineAbortSharded: same contract on the sharded engine — the
-// coordinator polls per quantum, the barrier winds down cleanly (Run
-// returning is the worker join), and the typed abort surfaces.
-func TestMachineAbortSharded(t *testing.T) {
+// TestWatchdogStallReposter pins the liveness watchdog on a runaway
+// event source: a reposter on m.Eng that never marks progress must
+// stop the run with a structured *StallError once Watchdog cycles pass
+// without progress, never run forever.
+func TestWatchdogStallReposter(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ShardWorkers = 2
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sharded == nil {
-		t.Fatalf("ShardWorkers=2 did not select the sharded engine")
-	}
-	for _, e := range m.Sharded.Engines() {
-		e.AtEvent(0, &reposter{e}, 0, 0, nil)
-	}
-	quanta := 0
-	m.SetStopCheck(func() bool { quanta++; return quanta > 3 })
-	runErr := m.Run(0)
-	var abort *AbortError
-	if !errors.As(runErr, &abort) {
-		t.Fatalf("sharded Run returned %v, want *AbortError", runErr)
-	}
-	if q := m.Sharded.Quantum(); abort.Now > 4*q {
-		t.Fatalf("sharded abort landed at cycle %d, more than one quantum past the cancel point (%d quanta of %d)", abort.Now, quanta, q)
-	}
-}
-
-// TestShardedWatchdogStall is the PR-1 liveness watchdog's regression
-// proof on the sharded path: a stall confined to one non-control shard
-// must produce a structured *StallError through the coordinator
-// watchdog — never a hung quantum barrier. (Per-engine watchdogs
-// cannot fire in sharded mode: runWindow never checks them; the
-// coordinator judges progress globally at barriers, so this pins that
-// that judgment actually happens.)
-func TestShardedWatchdogStall(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ShardWorkers = 2
 	cfg.Watchdog = 512
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find a processor whose events run off the control shard and
-	// stall there: the coordinator must notice even though shard 0
-	// itself is idle.
-	var eng *sim.Engine
-	for p := 0; p < cfg.Nodes; p++ {
-		if m.ProcEngine(p) != m.Eng {
-			eng = m.ProcEngine(p)
-			break
-		}
-	}
-	if eng == nil {
-		t.Fatalf("no processor mapped off the control shard")
-	}
-	eng.AtEvent(0, &reposter{eng}, 0, 0, nil)
+	m.Eng.AtEvent(0, &reposter{m.Eng}, 0, 0, nil)
 	runErr := m.Run(0)
 	var stall *StallError
 	if !errors.As(runErr, &stall) {
-		t.Fatalf("sharded stall returned %v, want *StallError", runErr)
+		t.Fatalf("Run returned %v, want *StallError", runErr)
 	}
 	if stall.SinceProgress < cfg.Watchdog {
 		t.Fatalf("StallError reports %d cycles since progress, want >= %d", stall.SinceProgress, cfg.Watchdog)
+	}
+	if stall.Pending == 0 {
+		t.Fatalf("stall should report the still-pending reposter event: %+v", stall)
 	}
 }

@@ -121,7 +121,7 @@ func TestSwitchDirectoryFasterThanHome(t *testing.T) {
 func TestWriteAfterInterceptedRead(t *testing.T) {
 	m := MustNew(DefaultConfig().WithSwitchDir(1024))
 	m.Cfg.CheckCoherence = true
-	m.lastSeen = []map[uint64]uint64{{}}
+	m.lastSeen = map[uint64]uint64{}
 	m.Write(0, 0x40, nil)
 	m.Run(0)
 	m.Read(1, 0x40, nil) // intercepted CtoC

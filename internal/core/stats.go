@@ -104,16 +104,6 @@ func (s Stats) CtoCLatencyShare() float64 {
 func (m *Machine) Collect() Stats {
 	var s Stats
 	s.Cycles = m.Now()
-	if m.Sharded != nil {
-		// Rebuild the public profile and histogram from the per-shard
-		// slices (serial mode maintains them live; see Machine).
-		m.Profile = sim.NewBlockProfile()
-		m.ReadLatHist = sim.Histogram{}
-		for i := range m.profiles {
-			m.Profile.Merge(m.profiles[i])
-			m.ReadLatHist.Merge(m.hists[i])
-		}
-	}
 	for _, n := range m.Nodes {
 		s.Reads += n.Stats.Reads
 		s.ReadMisses += n.Stats.ReadMisses

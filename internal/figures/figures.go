@@ -107,11 +107,11 @@ func RunOne(app string, scale Scale, entries int) (Result, error) {
 }
 
 // RunOneCtx executes one (app, entries) cell under a cancellation
-// context: the simulation polls ctx cooperatively (serial engine:
-// every few events; sharded: once per lookahead quantum; trace-driven:
-// every few thousand records) and a cancelled or deadline-exceeded
-// context aborts the run with a *core.AbortError, wrapped so
-// errors.As finds it, alongside the partial Result measured so far.
+// context: the simulation polls ctx cooperatively (execution-driven:
+// every few events; trace-driven: every few thousand records) and a
+// cancelled or deadline-exceeded context aborts the run with a
+// *core.AbortError, wrapped so errors.As finds it, alongside the
+// partial Result measured so far.
 func RunOneCtx(ctx context.Context, app string, scale Scale, entries int) (Result, error) {
 	if Commercial(app) {
 		return runCommercial(ctx, app, scale, entries)
@@ -128,23 +128,12 @@ func stopProbe(ctx context.Context) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// ShardWorkers selects the intra-run execution engine for every
-// execution-driven machine the figure helpers build: 0 defers to the
-// DRESAR_ENGINE environment variable, 1 forces the serial engine, >1
-// runs each cell on the sharded parallel engine with that many
-// workers. Figure values are cycle-identical at any setting (enforced
-// by the serial-vs-sharded differential tests), so this is purely a
-// wall-clock knob — combine with SweepN's pool width bearing in mind
-// the two multiply.
-var ShardWorkers int
-
 func runScientific(ctx context.Context, app string, scale Scale, entries int) (Result, error) {
 	w, err := ScientificWorkload(app, scale)
 	if err != nil {
 		return Result{}, err
 	}
 	cfg := core.DefaultConfig()
-	cfg.ShardWorkers = ShardWorkers
 	if entries > 0 {
 		cfg = cfg.WithSwitchDir(entries)
 	}
@@ -382,9 +371,6 @@ func FigE1(scale Scale) (string, error) {
 
 // runScientificW runs one prepared workload under cfg.
 func runScientificW(w workload.Workload, cfg core.Config) (core.Stats, error) {
-	if cfg.ShardWorkers == 0 {
-		cfg.ShardWorkers = ShardWorkers
-	}
 	m, err := core.New(cfg)
 	if err != nil {
 		return core.Stats{}, err

@@ -67,12 +67,12 @@ func SweepN(scale Scale, apps []string, sizes []int, workers int) (map[string]ma
 
 // SweepCtx is SweepN under a cancellation context. Cancelling ctx (or
 // its deadline passing) stops every running cell cooperatively —
-// serial cells within a few events, sharded cells within one lookahead
-// quantum — skips cells not yet started, and returns an error wrapping
-// *core.AbortError. A cell that panics is recovered into a *CellPanic
-// error rather than taking down the caller; when both real failures
-// and aborts are present the canonically first real failure wins (an
-// abort is a consequence of the cancellation, not its cause).
+// within a few events — skips cells not yet started, and returns an
+// error wrapping *core.AbortError. A cell that panics is recovered
+// into a *CellPanic error rather than taking down the caller; when
+// both real failures and aborts are present the canonically first
+// real failure wins (an abort is a consequence of the cancellation,
+// not its cause).
 func SweepCtx(ctx context.Context, scale Scale, apps []string, sizes []int, workers int) (map[string]map[int]Result, error) {
 	cells := make([]cell, 0, len(apps)*len(sizes))
 	for _, app := range apps {

@@ -107,10 +107,8 @@ func DefaultConfig() Config {
 	return Config{Entries: 1024, Ways: 4, Policy: PolicyRetry, SnoopPorts: 2}
 }
 
-// Stats aggregates switch-directory counters. Each switch's directory
-// keeps its own instance (so shards never share a counter cache line
-// under sharded execution); TotalStats folds them into the fabric-wide
-// roll-up the figures read.
+// Stats aggregates the fabric-wide switch-directory counters the
+// figures read.
 type Stats struct {
 	Inserts        uint64 // entries created by write replies
 	Hits           uint64 // reads intercepted in MODIFIED state
@@ -137,30 +135,6 @@ type Stats struct {
 	HomeFallbacks uint64 // intercepted requesters re-homed after a switch loss
 }
 
-// add folds o into s.
-func (s *Stats) add(o *Stats) {
-	s.Inserts += o.Inserts
-	s.Hits += o.Hits
-	s.LeafHits += o.LeafHits
-	s.TopHits += o.TopHits
-	s.TransientHits += o.TransientHits
-	s.RetriesSent += o.RetriesSent
-	s.BitVectorAdds += o.BitVectorAdds
-	s.ServedFromCB += o.ServedFromCB
-	s.ServedFromWB += o.ServedFromWB
-	s.WriteNacks += o.WriteNacks
-	s.CtoCSunk += o.CtoCSunk
-	s.Invalidates += o.Invalidates
-	s.Evictions += o.Evictions
-	s.InsertBlocked += o.InsertBlocked
-	s.PendingFull += o.PendingFull
-	s.PortDelayTotal += o.PortDelayTotal
-	s.Bypassed += o.Bypassed
-	s.EntriesLost += o.EntriesLost
-	s.PendingLost += o.PendingLost
-	s.HomeFallbacks += o.HomeFallbacks
-}
-
 // entry is one directory line.
 type entry struct {
 	tag    uint64
@@ -185,9 +159,8 @@ type dir struct {
 	// drain path uses it to know when the last obligation resolved.
 	pendingCount int
 
-	// stats is this switch's share of the fabric roll-up; only the
-	// shard running the switch ever touches it.
-	stats Stats
+	// stats is the fabric's counter set, shared by every switch.
+	stats *Stats
 }
 
 // Fabric implements xbar.Snooper for every switch in a topology.
@@ -197,6 +170,7 @@ type Fabric struct {
 	dirs     []*dir
 	disabled []bool // per-switch faulty flag: bypassed, draining only
 	failed   []bool // per-switch dead flag: bypassed entirely, state lost
+	stats    Stats
 
 	// Fail, when set, receives a structured *check.ProtocolError when a
 	// message the directory state machine cannot handle reaches it,
@@ -235,7 +209,7 @@ func New(tp *topo.T, cfg Config) (*Fabric, error) {
 	f := &Fabric{cfg: cfg, tp: tp, dirs: make([]*dir, tp.NumSwitches()),
 		disabled: make([]bool, tp.NumSwitches()), failed: make([]bool, tp.NumSwitches())}
 	for i := range f.dirs {
-		d := &dir{sets: make([][]entry, nsets), nsets: uint64(nsets)}
+		d := &dir{sets: make([][]entry, nsets), nsets: uint64(nsets), stats: &f.stats}
 		for s := range d.sets {
 			d.sets[s] = make([]entry, cfg.Ways)
 		}
@@ -641,16 +615,8 @@ func (f *Fabric) retry(d *dir, m *mesg.Message) xbar.Action {
 	return xbar.Action{Generated: gen}
 }
 
-// TotalStats folds every switch's counters into the fabric-wide
-// roll-up. Call it only when the fabric's shards are not executing (at
-// collection points or after a run).
-func (f *Fabric) TotalStats() Stats {
-	var s Stats
-	for _, d := range f.dirs {
-		s.add(&d.stats)
-	}
-	return s
-}
+// TotalStats reports the fabric-wide counters.
+func (f *Fabric) TotalStats() Stats { return f.stats }
 
 // Lookup exposes a switch's entry state for tests and invariants.
 func (f *Fabric) Lookup(sw topo.SwitchID, addr uint64) (EntryState, int, mesg.NodeSet) {

@@ -5,8 +5,8 @@
 //   - a single bad job (runaway, stalled, panicking) must never wedge
 //     or crash the server — jobs run under per-job deadlines and
 //     client-initiated cancellation, plumbed as cooperative stop
-//     checks down to the event engines (sim.Engine.SetStopCheck /
-//     sim.ShardedEngine quantum polls), and every engine failure
+//     checks down to the event engines (sim.Engine.SetStopCheck), and
+//     every engine failure
 //     surfaces as a typed JSON error, not a 500;
 //   - overload sheds instead of queueing unboundedly — a bounded
 //     worker pool fronted by a bounded admission queue returns 429
@@ -30,7 +30,6 @@ import (
 
 	"dresar/internal/core"
 	"dresar/internal/figures"
-	"dresar/internal/sim"
 	"dresar/internal/xbar"
 )
 
@@ -157,7 +156,6 @@ const (
 	KindNotReady   = "not_ready"   // result requested before completion
 	KindAborted    = "aborted"     // JobAborted: cancelled or deadline-exceeded
 	KindStall      = "stall"       // liveness watchdog: *core.StallError
-	KindShardPanic = "shard_panic" // *sim.ShardPanic on the parallel engine
 	KindUnroutable = "unroutable"  // *xbar.UnroutableError under fabric faults
 	KindPanic      = "panic"       // recovered cell panic (*figures.CellPanic)
 	KindInternal   = "internal"    // anything unclassified
@@ -179,8 +177,6 @@ type JobError struct {
 	Pending int    `json:"pending,omitempty"`
 	// SinceProgress is KindStall's no-progress span in cycles.
 	SinceProgress uint64 `json:"since_progress,omitempty"`
-	// Shard is the panicking shard for KindShardPanic.
-	Shard int `json:"shard,omitempty"`
 	// RetryAfterS accompanies KindOverloaded.
 	RetryAfterS int `json:"retry_after_s,omitempty"`
 }
@@ -210,10 +206,6 @@ func classify(err error, cancelReason string) *JobError {
 			Pending:       stall.Pending,
 			SinceProgress: uint64(stall.SinceProgress),
 		}
-	}
-	var sp *sim.ShardPanic
-	if errors.As(err, &sp) {
-		return &JobError{Kind: KindShardPanic, Message: firstLine(err.Error()), Shard: sp.Shard}
 	}
 	var ue *xbar.UnroutableError
 	if errors.As(err, &ue) {

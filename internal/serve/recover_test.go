@@ -61,6 +61,12 @@ func TestRestartResume(t *testing.T) {
 	}
 
 	seedJournal(t, journalDir, []journalRecord{
+		// j0: failed before the crash with an error kind this server no
+		// longer issues ("shard_panic", from the removed parallel
+		// engine). It must still replay as a terminal job.
+		{Op: opSubmit, Job: "j000000", Tenant: "gamma", Key: keyB, Spec: &specB},
+		{Op: opStart, Job: "j000000", Tenant: "gamma"},
+		{Op: opFinish, Job: "j000000", Tenant: "gamma", Key: keyB, State: StateFailed, ErrKind: "shard_panic"},
 		// j1: finished before the crash, result still cached.
 		{Op: opSubmit, Job: "j000001", Tenant: "acme", Key: keyA, Spec: &spec},
 		{Op: opStart, Job: "j000001", Tenant: "acme"},
@@ -83,8 +89,17 @@ func TestRestartResume(t *testing.T) {
 	if rep == nil {
 		t.Fatal("no recovery report")
 	}
-	if rep.Jobs != 4 || rep.Terminal != 1 || rep.Requeued != 3 || rep.OrphanTransitions != 1 {
+	if rep.Jobs != 5 || rep.Terminal != 2 || rep.Requeued != 3 || rep.OrphanTransitions != 1 {
 		t.Fatalf("recovery report = %+v", rep)
+	}
+
+	// j0: terminal and failed, with the journaled kind kept verbatim.
+	j0, ok := s.Get("j000000")
+	if !ok {
+		t.Fatal("j0 not re-registered")
+	}
+	if st := j0.Status(); st.State != StateFailed || st.Error == nil || st.Error.Kind != "shard_panic" {
+		t.Fatalf("j0 = %+v err=%+v", st, st.Error)
 	}
 
 	// j1: terminal, result re-attached from cache.
@@ -170,11 +185,10 @@ func TestRestartResumeExactlyOnce(t *testing.T) {
 		{Op: opSubmit, Job: "j000001", Key: CacheKey(spec), Spec: &spec},
 		{Op: opStart, Job: "j000001"},
 	})
-	s, err := NewServer(Config{Workers: 1, JournalDir: journalDir})
+	s, err := newServer(Config{Workers: 1, JournalDir: journalDir}, instantSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.sweep = instantSweep
 	j, ok := s.Get("j000001")
 	if !ok {
 		t.Fatal("job not recovered")

@@ -129,19 +129,27 @@ type Server struct {
 	// sweep runs a job's cells; figures.SweepCtx in production, a
 	// fake in the unit tests that exercise scheduling and failure
 	// classification without real simulations.
-	sweep func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error)
+	sweep sweepFunc
 }
+
+// sweepFunc runs a job's cells (the figures.SweepCtx signature).
+type sweepFunc func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error)
 
 // NewServer builds a server, replays its journal (re-registering
 // terminal jobs and re-enqueueing interrupted ones), and starts its
 // worker pool.
-func NewServer(cfg Config) (*Server, error) {
+func NewServer(cfg Config) (*Server, error) { return newServer(cfg, figures.SweepCtx) }
+
+// newServer is NewServer with the cell runner injected. The runner is
+// in place before the workers start, so a job re-enqueued by journal
+// replay can never race a later swap.
+func newServer(cfg Config, sweep sweepFunc) (*Server, error) {
 	cfg.fill()
 	s := &Server{
 		cfg:     cfg,
 		tenants: map[string]*tenantState{},
 		jobs:    map[string]*Job{},
-		sweep:   figures.SweepCtx,
+		sweep:   sweep,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
@@ -713,8 +721,7 @@ func (s *Server) List() []JobStatus {
 
 // Cancel requests cancellation: a queued job is finished immediately;
 // a running job gets its context cancelled and winds down at the
-// engine's next stop-check poll (within one lookahead quantum on the
-// sharded engine).
+// engine's next stop-check poll.
 func (s *Server) Cancel(id string) (*Job, *JobError) {
 	j, ok := s.Get(id)
 	if !ok {
@@ -830,7 +837,7 @@ func httpStatus(kind string) int {
 	case KindAborted:
 		return http.StatusGone
 	default:
-		// Typed engine failures (stall, shard_panic, unroutable, panic,
+		// Typed engine failures (stall, unroutable, panic,
 		// internal) are job outcomes, reported on the job that failed:
 		// the request itself succeeded, the simulation did not.
 		return http.StatusUnprocessableEntity

@@ -13,12 +13,8 @@ import (
 
 	"dresar/internal/core"
 	"dresar/internal/figures"
-	"dresar/internal/sim"
 	"dresar/internal/xbar"
 )
-
-// sweepFn matches Server.sweep.
-type sweepFn func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error)
 
 // fakeResults builds a result map covering apps x sizes.
 func fakeResults(apps []string, sizes []int) map[string]map[int]figures.Result {
@@ -39,7 +35,7 @@ func instantSweep(ctx context.Context, scale figures.Scale, apps []string, sizes
 
 // blockingSweep waits for release (success) or ctx (typed abort, the
 // same shape the engines produce).
-func blockingSweep(release <-chan struct{}) sweepFn {
+func blockingSweep(release <-chan struct{}) sweepFunc {
 	return func(ctx context.Context, scale figures.Scale, apps []string, sizes []int, workers int) (map[string]map[int]figures.Result, error) {
 		select {
 		case <-ctx.Done():
@@ -52,14 +48,14 @@ func blockingSweep(release <-chan struct{}) sweepFn {
 
 // newTestServer builds a server with the fake sweep and joins it at
 // test end.
-func newTestServer(t *testing.T, cfg Config, sweep sweepFn) *Server {
+func newTestServer(t *testing.T, cfg Config, sweep sweepFunc) *Server {
 	t.Helper()
-	s, err := NewServer(cfg)
+	if sweep == nil {
+		sweep = figures.SweepCtx
+	}
+	s, err := newServer(cfg, sweep)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sweep != nil {
-		s.sweep = sweep
 	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -223,12 +219,6 @@ func TestTypedErrorClassification(t *testing.T) {
 			func(t *testing.T, je *JobError) {
 				if je.Cycle != 900 || je.SinceProgress != 512 || je.Pending != 3 {
 					t.Errorf("stall detail = %+v", je)
-				}
-			}},
-		{"shard panic", fmt.Errorf("wrap: %w", &sim.ShardPanic{Shard: 2, Value: "boom"}), KindShardPanic,
-			func(t *testing.T, je *JobError) {
-				if je.Shard != 2 {
-					t.Errorf("shard = %d, want 2", je.Shard)
 				}
 			}},
 		{"unroutable", fmt.Errorf("wrap: %w", &xbar.UnroutableError{At: 77}), KindUnroutable,

@@ -8,13 +8,13 @@ type nopActor struct{ fired int }
 func (a *nopActor) OnEvent(op int, arg uint64, data any) { a.fired++ }
 
 // TestScheduleFireZeroAlloc pins the hot-path budget: once the
-// calendar ring's buckets are warm, AtEvent, AtEventSlack or a
-// same-engine Post plus Run must not allocate at all. This is the
+// calendar ring's buckets are warm, AtEvent plus Run must not allocate
+// at all. This is the
 // per-event cost every simulated message pays several times over, so
 // any regression here multiplies across whole figure sweeps — the
 // budget is exactly zero, not "small".
 func TestScheduleFireZeroAlloc(t *testing.T) {
-	e := NewCalendarEngine()
+	e := NewEngine()
 	a := &nopActor{}
 	// Warm every bucket in the ring: each needs capacity for one event
 	// before the steady state is allocation-free.
@@ -27,8 +27,6 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 		schedule func()
 	}{
 		{"AtEvent", func() { e.AtEvent(e.Now()+3, a, 1, 42, nil) }},
-		{"AtEventSlack", func() { e.AtEventSlack(e.Now()+3, 7, a, 1, 42, a) }},
-		{"Post", func() { e.Post(e, e.Now()+3, a, 1, 42, a) }},
 	} {
 		before := a.fired
 		allocs := testing.AllocsPerRun(2000, func() {

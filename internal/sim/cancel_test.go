@@ -52,45 +52,3 @@ func TestEngineStopCheckDrain(t *testing.T) {
 		t.Fatalf("aborted Drain advanced the clock to the bound (now=%d)", e.Now())
 	}
 }
-
-// TestShardedStopCheck: the coordinator polls the probe per quantum;
-// an immediate trip stops the run at the first barrier with every
-// worker goroutine joined (Run returning is the join), the engines
-// still holding their events, and Aborted reporting the cause.
-func TestShardedStopCheck(t *testing.T) {
-	se := NewShardedEngine(4, 8)
-	for _, e := range se.Engines() {
-		e.AtEvent(0, &reposter{e}, 0, 0, nil)
-	}
-	se.SetStopCheck(func() bool { return true })
-	if n := se.Run(0); n != 0 {
-		t.Fatalf("stop check before first quantum should run 0 events, ran %d", n)
-	}
-	if !se.Aborted() {
-		t.Fatalf("sharded engine not marked aborted")
-	}
-	if se.Pending() == 0 {
-		t.Fatalf("aborted sharded run should leave events pending")
-	}
-}
-
-// TestShardedStopCheckMidRun: a probe that trips after a few quanta
-// stops the run within one quantum of the trip — the acceptance bound
-// for cancelled jobs — rather than running to drain.
-func TestShardedStopCheckMidRun(t *testing.T) {
-	se := NewShardedEngine(2, 8)
-	for _, e := range se.Engines() {
-		e.AtEvent(0, &reposter{e}, 0, 0, nil)
-	}
-	quanta := 0
-	se.SetStopCheck(func() bool { quanta++; return quanta > 5 })
-	se.Run(0)
-	if !se.Aborted() {
-		t.Fatalf("sharded engine not marked aborted")
-	}
-	// 5 allowed quanta of 8 cycles each: the clock must sit within one
-	// quantum of the cancel point.
-	if now := se.Now(); now > 6*8 {
-		t.Fatalf("run continued %d cycles past a cancel at quantum 5", now)
-	}
-}

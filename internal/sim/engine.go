@@ -21,8 +21,6 @@
 // and nothing is allocated once the slab and buckets are warm.
 package sim
 
-import "fmt"
-
 // Cycle is a point in simulated time, in 200MHz core cycles.
 type Cycle uint64
 
@@ -34,58 +32,27 @@ type Actor interface {
 	OnEvent(op int, arg uint64, data any)
 }
 
-// event is a scheduled callback. Same-cycle ties are broken by
-// (madeAt, seq): the cycle the event was created on, then its creation
-// stamp, which packs the originating shard into the top bits
-// (seqShardShift) over the source engine's scheduling counter. The
-// whole key is assigned when the event is *created* — for a
-// cross-shard post, on the source engine at Post time — so it is a
-// pure function of simulated history that never depends on when a
-// barrier drain happened to deliver the event. On a serial engine seq
-// alone is globally monotone and madeAt is redundant (kept in the key
-// so both modes share one ordering); across shards, creation-cycle
-// order reproduces the serial engine's global scheduling order
-// whenever the colliding events were created on different cycles, and
-// same-cycle creations fall back to the (srcShard, srcSeq) tie-break,
-// which the model must keep unobservable (see the coalesced
-// arbitration in package xbar). Exactly one of fn and actor is set: fn
-// for closure events, actor+op+arg+data for record events. slack is
-// the event's horizon promise (see AtEventSlack); it never affects
-// firing order, only the sharded coordinator's window grants.
+// event is a scheduled callback. Same-cycle ties are broken by seq,
+// the engine's scheduling counter, so two events for one cycle fire in
+// the order they were scheduled. Exactly one of fn and actor is set:
+// fn for closure events, actor+op+arg+data for record events.
 type event struct {
-	at     Cycle
-	madeAt Cycle
-	seq    uint64
-	slack  Cycle
-	fn     func()
-	actor  Actor
-	op     int
-	arg    uint64
-	data   any
+	at    Cycle
+	seq   uint64
+	fn    func()
+	actor Actor
+	op    int
+	arg   uint64
+	data  any
 }
 
-// precedes reports whether an event keyed (at, madeAt, seq) fires
-// ahead of b: cycle order, then the creation-time key (madeAt,
-// srcShard, srcSeq).
-func precedes(at, madeAt Cycle, seq uint64, b *event) bool {
+// precedes reports whether an event keyed (at, seq) fires ahead of b.
+func precedes(at Cycle, seq uint64, b *event) bool {
 	if at != b.at {
 		return at < b.at
 	}
-	if madeAt != b.madeAt {
-		return madeAt < b.madeAt
-	}
 	return seq < b.seq
 }
-
-// cycleMax is the identity for min-reductions over cycles.
-const cycleMax = ^Cycle(0)
-
-// seqShardShift positions the originating shard index in an event's
-// seq stamp: seq = shard<<seqShardShift | counter. 48 bits of counter
-// (a quarter-quadrillion events per shard, far beyond any run) under
-// 16 bits of shard index keep the stamp one comparable word, so every
-// queue orders by plain (at, seq) and realizes (at, srcShard, srcSeq).
-const seqShardShift = 48
 
 // fire dispatches the event.
 func (ev *event) fire() {
@@ -117,24 +84,24 @@ type bucket struct {
 	head int
 }
 
-// farHeap is a concrete min-heap ordered by the event key (at, madeAt,
-// seq). It moves event values without interface boxing.
+// farHeap is a concrete min-heap ordered by the event key (at, seq).
+// It moves event values without interface boxing.
 type farHeap []event
 
 func (h farHeap) less(i, j int) bool {
 	a := &h[i]
-	return precedes(a.at, a.madeAt, a.seq, &h[j])
+	return precedes(a.at, a.seq, &h[j])
 }
 
-// slot opens the heap position of a new event keyed (at, madeAt, seq)
-// by sifting a hole up from the end, and returns it empty for the
-// caller to fill.
-func (h *farHeap) slot(at, madeAt Cycle, seq uint64) *event {
+// slot opens the heap position of a new event keyed (at, seq) by
+// sifting a hole up from the end, and returns it empty for the caller
+// to fill.
+func (h *farHeap) slot(at Cycle, seq uint64) *event {
 	*h = append(*h, event{})
 	i := len(*h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !precedes(at, madeAt, seq, &(*h)[parent]) {
+		if !precedes(at, seq, &(*h)[parent]) {
 			break
 		}
 		(*h)[i] = (*h)[parent]
@@ -171,63 +138,12 @@ func (h *farHeap) pop() event {
 	return top
 }
 
-// hkeyEntry records one pending slack-carrying event for the horizon
-// bound: at is its firing cycle (for lazy cleanup once the clock has
-// passed it), hkey its horizon key at + slack.
-type hkeyEntry struct{ at, hkey Cycle }
-
-// hkeyHeap is a concrete min-heap of hkeyEntry ordered by hkey. Like
-// farHeap it moves values without interface boxing; it holds only the
-// rare slack>0 events, so its operations stay off the hot path.
-type hkeyHeap []hkeyEntry
-
-func (h *hkeyHeap) push(en hkeyEntry) {
-	*h = append(*h, en)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*h)[parent].hkey <= (*h)[i].hkey {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *hkeyHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		min := l
-		if r < n && old[r].hkey < old[l].hkey {
-			min = r
-		}
-		if old[min].hkey >= old[i].hkey {
-			break
-		}
-		old[i], old[min] = old[min], old[i]
-		i = min
-	}
-}
-
 // Engine is a deterministic discrete-event scheduler.
 // The zero value is ready to use.
 type Engine struct {
 	now Cycle
-	// seq counts locally-created events; seqBase is the engine's shard
-	// index shifted to seqShardShift (0 for a serial engine). Every
-	// event this engine creates is stamped seqBase|seq, so stamps from
-	// different shards never collide and compare as (shard, counter).
-	seq     uint64
-	seqBase uint64
-	cnt     int // scheduled events not yet executed
+	seq uint64 // scheduling counter: the same-cycle tie-break
+	cnt int    // scheduled events not yet executed
 
 	// Calendar queue state. Invariants, restored after every clock
 	// advance by migrate():
@@ -269,65 +185,16 @@ type Engine struct {
 	onStall      func(now, sinceProgress Cycle)
 	lastProgress Cycle
 	stalled      bool
-
-	// Sharded-execution state (see shard.go). A serial engine has
-	// shard 0, lookahead 0, and an always-empty outbox: Post to any
-	// engine sharing the process is then a plain AtEvent. Under a
-	// ShardedEngine each member engine is owned by one worker
-	// goroutine; cross-engine Posts stage in the outbox and are merged
-	// at the next quantum barrier in (at, srcShard, srcSeq) order.
-	shard     int
-	lookahead Cycle
-	group     *ShardedEngine // nil for a serial engine
-	minPost   []Cycle        // per-destination-shard Post floor (the lookahead matrix row)
-	gather    []outPost      // reusable merge scratch for inbound lane drains
-
-	// Horizon bookkeeping for dynamic lookahead (see minHkey): slack0
-	// counts pending zero-slack events; slackLog tracks the pending
-	// slack>0 events' horizon keys, cleaned lazily once the clock has
-	// passed their cycles.
-	slack0   int
-	slackLog hkeyHeap
 }
 
 // NewEngine returns an empty engine at cycle 0.
 func NewEngine() *Engine { return &Engine{} }
-
-// NewCalendarEngine returns an empty engine whose calendar buckets are
-// pre-seeded with capacity (see below); sharded member engines use it.
-func NewCalendarEngine() *Engine {
-	e := &Engine{}
-	// Seed every bucket with a little capacity carved from one backing
-	// array: growing 1024 bucket slices from nil costs thousands of
-	// doubling reallocations per engine, which multiplies by the worker
-	// count under a ShardedEngine and shows up as per-worker allocs/op
-	// growth. One allocation here replaces the first few doublings of
-	// each bucket; hot buckets still grow past the carve on their own.
-	const seedCap = 4
-	backing := make([]int32, calWindow*seedCap)
-	for i := range e.buckets {
-		lo := i * seedCap
-		e.buckets[i].ev = backing[lo : lo : lo+seedCap]
-	}
-	return e
-}
 
 // Now reports the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
 
 // Pending reports the number of scheduled events not yet executed.
 func (e *Engine) Pending() int { return e.cnt }
-
-// slackLogged reports whether an event's slack is worth tracking in
-// the slackLog: only a promise that can widen a window past the static
-// per-hop floor, and only on a sharded member engine (a serial engine
-// never computes horizons). Everything else counts in slack0 — an
-// under-promise, which is always sound — so the common small-slack
-// events (issue gaps of a few cycles) never touch the heap and the log
-// stays tiny (barrier-scale promises only).
-func (e *Engine) slackLogged(slack Cycle) bool {
-	return e.group != nil && slack > e.lookahead
-}
 
 // takeSlot hands out a free slab slot, the most recently fired first.
 func (e *Engine) takeSlot() int32 {
@@ -341,44 +208,26 @@ func (e *Engine) takeSlot() int32 {
 }
 
 // reserve is the one write path into the queue. It counts an event
-// keyed (at, madeAt, seq) with the given slack, opens its slot — a slab
-// slot whose index joins cycle at's bucket in firing order, or a far-heap
-// position beyond the window — and returns the slot with key and slack
-// written and every payload field empty. Callers write the payload (fn,
-// or actor/op/arg/data) straight into the slot, so an event is built
-// where it will fire and is never copied on the way. The pointer is
-// valid until the next reserve. at must be >= now.
-func (e *Engine) reserve(at, madeAt Cycle, seq uint64, slack Cycle) *event {
+// keyed (at, seq), opens its slot — a slab slot whose index is appended
+// to cycle at's bucket, or a far-heap position beyond the window — and
+// returns the slot with its key written and every payload field empty.
+// seq grows with every schedule, so appending keeps each bucket in key
+// order. Callers write the payload (fn, or actor/op/arg/data) straight
+// into the slot, so an event is built where it will fire and is never
+// copied on the way. The pointer is valid until the next reserve. at
+// must be >= now.
+func (e *Engine) reserve(at Cycle, seq uint64) *event {
 	e.cnt++
-	if e.slackLogged(slack) {
-		e.slackLog.push(hkeyEntry{at: at, hkey: at + slack})
-	} else {
-		e.slack0++
-	}
 	var ev *event
 	if at < e.now+calWindow {
 		si := e.takeSlot()
 		b := &e.buckets[at&calMask]
-		i := len(b.ev)
 		b.ev = append(b.ev, si)
-		// Keep the bucket in key order. Locally-created events arrive
-		// with monotonically increasing (madeAt, seq) stamps, so a
-		// serial engine appends and never walks; only on a sharded
-		// member can a barrier-merged event's creation-time key order
-		// ahead of locals already appended for the same cycle (or a
-		// local's ahead of a merged one stamped later on its source).
-		// Never past head: a merged delivery is strictly ahead of the
-		// clock, so every already-fired entry stays untouched.
-		if e.group != nil {
-			for ; i > b.head && precedes(at, madeAt, seq, &e.slots[b.ev[i-1]]); i-- {
-				b.ev[i], b.ev[i-1] = b.ev[i-1], b.ev[i]
-			}
-		}
 		ev = &e.slots[si]
 	} else {
-		ev = e.far.slot(at, madeAt, seq)
+		ev = e.far.slot(at, seq)
 	}
-	ev.at, ev.madeAt, ev.seq, ev.slack = at, madeAt, seq, slack
+	ev.at, ev.seq = at, seq
 	// Keep the earliest-cycle cache honest: a valid cache may only be
 	// lowered, and an invalid cache may only be revalidated when this
 	// event is provably the earliest — i.e. it is the only one pending.
@@ -396,13 +245,13 @@ func (e *Engine) reserve(at, madeAt Cycle, seq uint64, slack Cycle) *event {
 	return ev
 }
 
-// newEvent reserves the slot of a locally created event at cycle t
-// (clamped to >= Now) and stamps it with this engine's creation key.
-func (e *Engine) newEvent(t, slack Cycle) *event {
+// newEvent reserves the slot of an event at cycle t (clamped to >=
+// Now) and stamps it with the next scheduling sequence number.
+func (e *Engine) newEvent(t Cycle) *event {
 	if t < e.now {
 		t = e.now
 	}
-	ev := e.reserve(t, e.now, e.seqBase|e.seq, slack)
+	ev := e.reserve(t, e.seq)
 	e.seq++
 	return ev
 }
@@ -411,7 +260,7 @@ func (e *Engine) newEvent(t, slack Cycle) *event {
 // runs fn at the current cycle instead; the engine never travels
 // backwards.
 func (e *Engine) At(t Cycle, fn func()) {
-	e.newEvent(t, 0).fn = fn
+	e.newEvent(t).fn = fn
 }
 
 // After schedules fn to run d cycles from now.
@@ -423,7 +272,7 @@ func (e *Engine) After(d Cycle, fn func()) { e.At(e.now+d, fn) }
 // pointer (or nil) as data does not allocate; the steady-state
 // schedule+fire path is allocation-free once bucket capacity is warm.
 func (e *Engine) AtEvent(t Cycle, a Actor, op int, arg uint64, data any) {
-	ev := e.newEvent(t, 0)
+	ev := e.newEvent(t)
 	ev.actor, ev.op, ev.arg, ev.data = a, op, arg, data
 }
 
@@ -432,88 +281,13 @@ func (e *Engine) AfterEvent(d Cycle, a Actor, op int, arg uint64, data any) {
 	e.AtEvent(e.now+d, a, op, arg, data)
 }
 
-// AtEventSlack schedules a closure-free event like AtEvent and attaches
-// a horizon promise: firing this event at cycle t causes, transitively
-// through same-shard inline calls and scheduling chains, (a) no
-// cross-engine Post targeting a cycle earlier than t + slack + the
-// pair's lookahead, and (b) no same-shard event whose own (at + slack)
-// is earlier than t + slack. The sharded coordinator uses the promise
-// to widen quantum windows (ShardedEngine run loop); a promise the
-// model cannot keep corrupts cross-shard event ordering, so callers
-// must derive slack from state that bounds their whole downstream
-// chain (stream gaps, fixed barrier costs). Slack never changes firing
-// order, and a serial engine ignores it entirely; 0 is always sound.
-func (e *Engine) AtEventSlack(t, slack Cycle, a Actor, op int, arg uint64, data any) {
-	ev := e.newEvent(t, slack)
-	ev.actor, ev.op, ev.arg, ev.data = a, op, arg, data
-}
-
-// AfterEventSlack schedules a slack-carrying event d cycles from now.
-func (e *Engine) AfterEventSlack(d, slack Cycle, a Actor, op int, arg uint64, data any) {
-	e.AtEventSlack(e.now+d, slack, a, op, arg, data)
-}
-
-// minHkey reports a sound lower bound on this engine's horizon: the
-// minimum (at + slack) over pending events. The cheap form exploits
-// that slack>0 events are rare: while any zero-slack event is pending
-// the earliest cycle itself is the bound (hkey >= at >= peek for every
-// event), and only when the queue holds nothing but slack-carrying
-// events does the slackLog's top decide. slackLog entries for already-
-// fired events are removed lazily once the clock reaches their cycle.
-// Dropping an entry whose same-cycle event is in fact still pending is
-// sound — the fallback is peek(), which under-promises — and dropping
-// is required for liveness: a fired event's entry on an engine whose
-// clock then parks at that exact cycle would otherwise lower-bound the
-// horizon forever and wedge every other shard's window behind it.
-func (e *Engine) minHkey() Cycle {
-	if e.cnt == 0 {
-		return cycleMax
-	}
-	if e.slack0 > 0 {
-		at, _ := e.peek()
-		return at
-	}
-	for len(e.slackLog) > 0 && e.slackLog[0].at <= e.now {
-		e.slackLog.pop()
-	}
-	if len(e.slackLog) == 0 {
-		at, _ := e.peek()
-		return at
-	}
-	return e.slackLog[0].hkey
-}
-
-// insertMerged enqueues one cross-shard event delivered by the barrier
-// drain, keeping the (srcShard, srcSeq) stamp the source engine packed
-// into ev.seq at Post time and the staged slack promise. The stamp is
-// deliberately NOT reassigned here: a drain-time stamp would make the
-// firing order between a merged event and a local event at the same
-// cycle depend on where the window boundary fell, which is exactly the
-// schedule-dependence the window-fuzz contract forbids. A delivery at
-// or behind the local clock means the window grant was unsound (a
-// lookahead matrix entry below the model's true minimum, or a broken
-// slack promise): sound grants deliver strictly ahead of the
-// destination clock (at >= end[j] > now), so an exactly-at-now arrival
-// is already a broken promise that would silently reorder same-cycle
-// execution — fail loudly instead.
-func (e *Engine) insertMerged(ev *event) {
-	if ev.at <= e.now {
-		panic(fmt.Sprintf("sim: shard %d: cross-shard event delivered at cycle %d not strictly ahead of local clock %d (unsound lookahead)",
-			e.shard, ev.at, e.now))
-	}
-	s := e.reserve(ev.at, ev.madeAt, ev.seq, ev.slack)
-	s.fn, s.actor, s.op, s.arg, s.data = ev.fn, ev.actor, ev.op, ev.arg, ev.data
-}
-
 // migrate restores the calendar invariants after the clock advanced:
 // far-heap events whose cycle has entered the window move into their
 // buckets. Heap order is (at, seq), so same-cycle events migrate in
 // seq order into buckets that are necessarily empty of that cycle
 // (while any event for cycle c sits in the far heap, c is outside the
-// window, so nothing for c can be bucket-resident); later local
-// schedules for that cycle carry larger stamps and append behind them,
-// and a sharded member's merged events take the insertion walk in
-// reserve().
+// window, so nothing for c can be bucket-resident); later schedules
+// for that cycle carry larger seqs and append behind them.
 func (e *Engine) migrate() {
 	for len(e.far) > 0 && e.far[0].at < e.now+calWindow {
 		ev := e.far.pop()
@@ -651,9 +425,6 @@ func (e *Engine) Step() bool {
 	si := b.ev[b.head]
 	b.head++
 	ev := &e.slots[si]
-	if !e.slackLogged(ev.slack) {
-		e.slack0--
-	}
 	ev.fire()
 	// Release the payload's references. The handler may have grown the
 	// slab, so index the live array.

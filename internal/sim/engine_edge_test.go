@@ -10,38 +10,36 @@ import (
 // clock), fire this cycle, and the watchdog must neither trip from the
 // clamp nor miss a genuine stall that follows it.
 func TestAtIntoPastUnderArmedWatchdog(t *testing.T) {
-	for _, mk := range engines() {
-		e := mk.new()
-		tripped := false
-		e.SetWatchdog(100, func(now, since Cycle) { tripped = true })
+	e := NewEngine()
+	tripped := false
+	e.SetWatchdog(100, func(now, since Cycle) { tripped = true })
 
-		var fired []Cycle
-		e.At(50, func() {
-			// From cycle 50, aim at cycle 10: the engine must clamp to
-			// 50, not travel backwards.
-			e.At(10, func() { fired = append(fired, e.Now()) })
-			e.Progress()
-		})
-		e.RunUntil(60)
-		if len(fired) != 1 || fired[0] != 50 {
-			t.Fatalf("%s: past-scheduled event fired at %v, want [50]", mk.name, fired)
-		}
-		if tripped || e.Stalled() {
-			t.Fatalf("%s: watchdog tripped on a clamped past schedule", mk.name)
-		}
+	var fired []Cycle
+	e.At(50, func() {
+		// From cycle 50, aim at cycle 10: the engine must clamp to
+		// 50, not travel backwards.
+		e.At(10, func() { fired = append(fired, e.Now()) })
+		e.Progress()
+	})
+	e.RunUntil(60)
+	if len(fired) != 1 || fired[0] != 50 {
+		t.Fatalf("past-scheduled event fired at %v, want [50]", fired)
+	}
+	if tripped || e.Stalled() {
+		t.Fatalf("watchdog tripped on a clamped past schedule")
+	}
 
-		// The clamp must not have disturbed the watchdog bookkeeping:
-		// a genuine livelock afterwards still trips at the bound.
-		var tick func()
-		tick = func() { e.After(1, tick) }
-		e.After(1, tick)
-		e.Drain(10_000)
-		if !tripped || !e.Stalled() {
-			t.Fatalf("%s: watchdog failed to trip on livelock after clamped schedule", mk.name)
-		}
-		if since := e.SinceProgress(); since < 100 {
-			t.Fatalf("%s: tripped with SinceProgress=%d, want >= 100", mk.name, since)
-		}
+	// The clamp must not have disturbed the watchdog bookkeeping:
+	// a genuine livelock afterwards still trips at the bound.
+	var tick func()
+	tick = func() { e.After(1, tick) }
+	e.After(1, tick)
+	e.Drain(10_000)
+	if !tripped || !e.Stalled() {
+		t.Fatalf("watchdog failed to trip on livelock after clamped schedule")
+	}
+	if since := e.SinceProgress(); since < 100 {
+		t.Fatalf("tripped with SinceProgress=%d, want >= 100", since)
 	}
 }
 
@@ -50,47 +48,30 @@ func TestAtIntoPastUnderArmedWatchdog(t *testing.T) {
 // current cycle from inside a handler (which must run before the clock
 // moves, draining the same bucket that is being appended to).
 func TestPendingAcrossSameCycleBursts(t *testing.T) {
-	for _, mk := range engines() {
-		e := mk.new()
-		const burst = 100
-		ran := 0
-		for i := 0; i < burst; i++ {
-			e.At(5, func() {
-				ran++
-				if ran <= 3 {
-					// Re-burst at the same cycle from inside a handler.
-					e.At(5, func() { ran++ })
-				}
-			})
-		}
-		if got := e.Pending(); got != burst {
-			t.Fatalf("%s: Pending=%d before run, want %d", mk.name, got, burst)
-		}
-		e.RunUntil(5)
-		if got := e.Pending(); got != 0 {
-			t.Fatalf("%s: Pending=%d after same-cycle burst, want 0", mk.name, got)
-		}
-		if want := burst + 3; ran != want {
-			t.Fatalf("%s: ran %d events, want %d", mk.name, ran, want)
-		}
-		if e.Now() != 5 {
-			t.Fatalf("%s: Now=%d after burst, want 5", mk.name, e.Now())
-		}
+	e := NewEngine()
+	const burst = 100
+	ran := 0
+	for i := 0; i < burst; i++ {
+		e.At(5, func() {
+			ran++
+			if ran <= 3 {
+				// Re-burst at the same cycle from inside a handler.
+				e.At(5, func() { ran++ })
+			}
+		})
 	}
-}
-
-// engines lists the engine constructors: the zero-value engine, whose
-// buckets grow from nil, and the pre-seeded one sharded members use.
-func engines() []struct {
-	name string
-	new  func() *Engine
-} {
-	return []struct {
-		name string
-		new  func() *Engine
-	}{
-		{"zero", NewEngine},
-		{"seeded", NewCalendarEngine},
+	if got := e.Pending(); got != burst {
+		t.Fatalf("Pending=%d before run, want %d", got, burst)
+	}
+	e.RunUntil(5)
+	if got := e.Pending(); got != 0 {
+		t.Fatalf("Pending=%d after same-cycle burst, want 0", got)
+	}
+	if want := burst + 3; ran != want {
+		t.Fatalf("ran %d events, want %d", ran, want)
+	}
+	if e.Now() != 5 {
+		t.Fatalf("Now=%d after burst, want 5", e.Now())
 	}
 }
 
@@ -152,7 +133,7 @@ type funcActor struct{}
 func (funcActor) OnEvent(op int, arg uint64, data any) { data.(func())() }
 
 // TestHeapCalendarDifferential replays one randomized schedule on the
-// calendar engine (both constructions) and on the reference queue and
+// calendar engine and on the reference queue and
 // requires identical execution traces: (cycle, id) for every fired
 // event, with self-rescheduling handlers that stress the near/far
 // boundary (offsets straddling the calendar window) and same-cycle
@@ -202,15 +183,13 @@ func TestHeapCalendarDifferential(t *testing.T) {
 	if len(ref) == 0 {
 		t.Fatal("empty trace")
 	}
-	for _, mk := range engines() {
-		cal := run(mk.new())
-		if len(cal) != len(ref) {
-			t.Fatalf("%s: trace length: calendar=%d reference=%d", mk.name, len(cal), len(ref))
-		}
-		for i := range cal {
-			if cal[i] != ref[i] {
-				t.Fatalf("%s: trace diverges at %d: calendar=%+v reference=%+v", mk.name, i, cal[i], ref[i])
-			}
+	cal := run(NewEngine())
+	if len(cal) != len(ref) {
+		t.Fatalf("trace length: calendar=%d reference=%d", len(cal), len(ref))
+	}
+	for i := range cal {
+		if cal[i] != ref[i] {
+			t.Fatalf("trace diverges at %d: calendar=%+v reference=%+v", i, cal[i], ref[i])
 		}
 	}
 }

@@ -34,10 +34,10 @@ func splitmix64(s *uint64) uint64 {
 // Split derives an independent child generator identified by key,
 // without consuming randomness from r: the child's seed is a SplitMix
 // mix of r's current state and the key, so (a) the same (r-state, key)
-// pair always yields the same child — per-shard streams are
-// reproducible from the run seed alone — and (b) distinct keys yield
+// pair always yields the same child — child streams are reproducible
+// from the parent's seed alone — and (b) distinct keys yield
 // decorrelated streams. Use one parent at a single well-defined point
-// (e.g. machine construction) and a distinct key per shard/component.
+// and a distinct key per consumer.
 func (r *RNG) Split(key uint64) *RNG {
 	seed := r.s[0] ^ rotl(r.s[2], 19) ^ (key * 0xd1342543de82ef95)
 	sm := seed

@@ -54,22 +54,12 @@ func DefaultConfig() Config {
 	return Config{Entries: 512, Ways: 4}
 }
 
-// Stats counts switch-cache events. Each switch keeps its own instance
-// (shards never share a counter under sharded execution); TotalStats
-// folds them into the fabric-wide roll-up.
+// Stats counts switch-cache events across the fabric.
 type Stats struct {
 	Inserts     uint64
 	Hits        uint64 // reads served from a switch cache
 	Invalidates uint64
 	Evictions   uint64
-}
-
-// add folds o into s.
-func (s *Stats) add(o *Stats) {
-	s.Inserts += o.Inserts
-	s.Hits += o.Hits
-	s.Invalidates += o.Invalidates
-	s.Evictions += o.Evictions
 }
 
 type entry struct {
@@ -84,9 +74,8 @@ type dcache struct {
 	nsets uint64
 	clock uint64
 
-	// stats is this switch's share of the roll-up; only the shard
-	// running the switch ever touches it.
-	stats Stats
+	// stats is the fabric's counter set, shared by every switch.
+	stats *Stats
 }
 
 func (d *dcache) find(b uint64) *entry {
@@ -104,17 +93,11 @@ type Fabric struct {
 	cfg    Config
 	tp     *topo.T
 	caches []*dcache
+	stats  Stats
 }
 
-// TotalStats folds every switch's counters into the fabric-wide
-// roll-up. Call it only when the fabric's shards are not executing.
-func (f *Fabric) TotalStats() Stats {
-	var s Stats
-	for _, d := range f.caches {
-		s.add(&d.stats)
-	}
-	return s
-}
+// TotalStats reports the fabric-wide counters.
+func (f *Fabric) TotalStats() Stats { return f.stats }
 
 // New builds the fabric.
 func New(tp *topo.T, cfg Config) (*Fabric, error) {
@@ -130,7 +113,7 @@ func New(tp *topo.T, cfg Config) (*Fabric, error) {
 	}
 	f := &Fabric{cfg: cfg, tp: tp, caches: make([]*dcache, tp.NumSwitches())}
 	for i := range f.caches {
-		d := &dcache{sets: make([][]entry, nsets), nsets: uint64(nsets)}
+		d := &dcache{sets: make([][]entry, nsets), nsets: uint64(nsets), stats: &f.stats}
 		for s := range d.sets {
 			d.sets[s] = make([]entry, cfg.Ways)
 		}

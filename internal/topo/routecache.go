@@ -3,10 +3,9 @@ package topo
 // RouteCache memoizes hot routes over a T behind a bounded LRU, so
 // the steady-state cost of routing is one map probe and no allocation
 // while total route state stays O(capacity) instead of the O(Nodes²)
-// of a per-pair table. Each concurrent routing domain (xbar shard,
-// flit network) owns its own instance: the cache is not safe for
-// concurrent use, and keeping it per-shard is what lets T itself stay
-// immutable and lock-free.
+// of a per-pair table. Each network (xbar, flit) owns its own
+// instance: the cache is not safe for concurrent use, and keeping it
+// per network is what lets T itself stay immutable and lock-free.
 //
 // Returned hop slices are shared between the cache and every caller
 // that looked them up: treat them as immutable. Eviction only drops

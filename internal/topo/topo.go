@@ -23,7 +23,7 @@
 // i. A route is therefore computed in O(1) per hop from the endpoint
 // indices alone — no precomputed path tables, so route state no longer
 // grows as nodes². Hot paths are memoized by the bounded RouteCache
-// (routecache.go), which callers in the timed network own per shard.
+// (routecache.go), which each timed network owns.
 package topo
 
 import "fmt"
@@ -72,7 +72,7 @@ type Hop struct {
 
 // T is a concrete s-stage BMIN. It is immutable after New: every
 // route is a pure function of the endpoints, so a single T may be
-// shared by concurrent shards without synchronization.
+// shared by concurrent simulations without synchronization.
 type T struct {
 	// Nodes is the number of CC-NUMA nodes (processor+memory pairs).
 	Nodes int

@@ -18,13 +18,9 @@ import (
 // DESIGN.md substitution 5: spin-wait traffic is excluded from the
 // read statistics, as in the paper's methodology.
 //
-// The driver is a sim.Actor so the same code runs serial and sharded:
-// each processor's stepping events live on that processor's engine
-// (core.Machine.ProcEngine), while barrier bookkeeping lives on the
-// control engine (shard 0). The two sides talk through Engine.Post
-// with a one-hop offset — on a serial machine Post degenerates to a
-// local schedule at the same cycle, so the two modes execute the
-// identical event sequence.
+// The driver is a sim.Actor: processor stepping and barrier
+// bookkeeping are closure-free events on the machine's engine, and
+// barrier arrivals and releases each travel one network hop.
 type Driver struct {
 	M *core.Machine
 	W Workload
@@ -35,20 +31,17 @@ type Driver struct {
 	// (deadlock watchdog). 0 means 2^40 cycles.
 	MaxCycles sim.Cycle
 
-	// hop is the modeled distance to the barrier variable: the fabric
-	// lookahead, so that arrival and release notifications satisfy the
-	// cross-shard Post contract.
+	// hop is the modeled distance to the barrier variable: one
+	// switch-to-switch hop, switch core plus one flit
+	// (xbar.Network.HopLatency).
 	hop sim.Cycle
 
-	// Control-shard state (only events on the control engine touch
-	// these after the run starts).
+	// Barrier state.
 	phase   int
 	arrived int
 
-	// Per-processor state (only events on that processor's shard touch
-	// refs[p]/idx[p]/pend[p] while the processor is running; the
-	// control shard refills refs between phases, while every processor
-	// is parked in the barrier).
+	// Per-processor state; release refills refs between phases, while
+	// every processor is parked in the barrier.
 	refs [][]Ref // per-proc stream of the current phase
 	idx  []int
 	pend []Ref // reference waiting out its Gap
@@ -62,11 +55,11 @@ type Driver struct {
 
 // Driver opcodes (sim.Actor events; arg is the processor index).
 const (
-	opStep    = iota // proc shard: issue p's next reference
-	opIssue          // proc shard: p's Gap elapsed, submit the reference
-	opBarrier        // proc shard: re-check p's write-buffer drain
-	opArrived        // control shard: p reached the barrier
-	opRelease        // control shard: barrier cost paid, open next phase
+	opStep    = iota // issue p's next reference
+	opIssue          // p's Gap elapsed, submit the reference
+	opBarrier        // re-check p's write-buffer drain
+	opArrived        // p reached the barrier
+	opRelease        // barrier cost paid, open next phase
 )
 
 // NewDriver wires a workload onto a machine. The machine must have at
@@ -78,14 +71,11 @@ func NewDriver(m *core.Machine, w Workload) (*Driver, error) {
 	return &Driver{M: m, W: w, BarrierCost: 160, MaxCycles: 1 << 40}, nil
 }
 
-// engOf returns the engine processor p's events run on.
-func (d *Driver) engOf(p int) *sim.Engine { return d.M.ProcEngine(p) }
-
 // Run executes all phases to completion and returns the machine's
 // collected statistics.
 func (d *Driver) Run() (core.Stats, error) {
 	procs := d.W.Procs()
-	d.hop = d.M.Net.Lookahead()
+	d.hop = d.M.Net.HopLatency()
 	d.idx = make([]int, procs)
 	d.refs = make([][]Ref, procs)
 	d.pend = make([]Ref, procs)
@@ -98,7 +88,7 @@ func (d *Driver) Run() (core.Stats, error) {
 	}
 	d.materialize(0)
 	for p := 0; p < procs; p++ {
-		d.engOf(p).AtEventSlack(0, d.stepSlack(p), d, opStep, uint64(p), nil)
+		d.M.Eng.AtEvent(0, d, opStep, uint64(p), nil)
 	}
 	// Machine.Run layers the liveness watchdog, Fail-sink errors, and
 	// panic recovery over the raw engine drain.
@@ -130,8 +120,7 @@ func (d *Driver) Run() (core.Stats, error) {
 	return d.M.Collect(), nil
 }
 
-// OnEvent implements sim.Actor: see the opcode table for which shard
-// each op runs on.
+// OnEvent implements sim.Actor (see the opcode table).
 func (d *Driver) OnEvent(op int, arg uint64, data any) {
 	p := int(arg)
 	switch op {
@@ -149,8 +138,8 @@ func (d *Driver) OnEvent(op int, arg uint64, data any) {
 }
 
 // materialize fills every processor's stream for phase ph. Runs before
-// the engines start (phase 0) or on the control shard while all
-// processors are parked in the barrier (later phases).
+// the engine starts (phase 0) or while all processors are parked in
+// the barrier (later phases).
 func (d *Driver) materialize(ph int) {
 	d.phase = ph
 	d.arrived = 0
@@ -172,7 +161,7 @@ func (d *Driver) step(p int) {
 	d.idx[p]++
 	d.pend[p] = r
 	if r.Gap > 0 {
-		d.engOf(p).AfterEvent(sim.Cycle(r.Gap), d, opIssue, uint64(p), nil)
+		d.M.Eng.AfterEvent(sim.Cycle(r.Gap), d, opIssue, uint64(p), nil)
 		return
 	}
 	d.issue(p)
@@ -191,24 +180,18 @@ func (d *Driver) issue(p int) {
 // enterBarrier waits for p's write buffer to drain (release), then
 // notifies the barrier variable one hop away.
 func (d *Driver) enterBarrier(p int) {
-	eng := d.engOf(p)
+	eng := d.M.Eng
 	if !d.M.Nodes[p].Quiesced() {
 		// Poll until outstanding stores complete. The write buffer
 		// drains via message events, so a short re-check is enough.
 		eng.AfterEvent(16, d, opBarrier, uint64(p), nil)
 		return
 	}
-	// The arrival carries a BarrierCost horizon promise: firing it on
-	// the control shard either just counts (not the last arrival) or
-	// schedules the release exactly BarrierCost later, so nothing it
-	// causes lands earlier than that — and the promise lets the sharded
-	// coordinator grant barrier-wait windows spanning the whole barrier
-	// cost instead of creeping hop by hop (sim.Engine.AtEventSlack).
-	eng.PostSlack(d.M.Eng, eng.Now()+d.hop, d.BarrierCost, d, opArrived, uint64(p), nil)
+	eng.AfterEvent(d.hop, d, opArrived, uint64(p), nil)
 }
 
-// arrive counts a processor into the barrier on the control shard; the
-// last arrival pays the barrier cost and opens the next phase.
+// arrive counts a processor into the barrier; the last arrival pays
+// the barrier cost and opens the next phase.
 func (d *Driver) arrive() {
 	d.arrived++
 	if d.arrived < d.W.Procs() {
@@ -222,24 +205,11 @@ func (d *Driver) arrive() {
 	d.M.Eng.AfterEvent(d.BarrierCost, d, opRelease, uint64(next), nil)
 }
 
-// stepSlack is the horizon promise an opStep event for p may carry:
-// the issue gap of the reference it will consume. A step that finds a
-// gapped reference only schedules the opIssue timer that far out;
-// everything else a step can do (issue immediately, or enter the
-// barrier and notify one hop away) can act at once, promising nothing.
-func (d *Driver) stepSlack(p int) sim.Cycle {
-	if d.idx[p] < len(d.refs[p]) {
-		return sim.Cycle(d.refs[p][d.idx[p]].Gap)
-	}
-	return 0
-}
-
 // release materializes phase ph and restarts every processor one hop
-// away on its own shard.
+// away.
 func (d *Driver) release(ph int) {
 	d.materialize(ph)
-	ctl := d.M.Eng
 	for p := 0; p < d.W.Procs(); p++ {
-		ctl.PostSlack(d.engOf(p), ctl.Now()+d.hop, d.stepSlack(p), d, opStep, uint64(p), nil)
+		d.M.Eng.AfterEvent(d.hop, d, opStep, uint64(p), nil)
 	}
 }

@@ -16,7 +16,7 @@ type RecSource interface {
 // Workload: each record becomes a zero-gap reference on processor
 // Pid%procs. This bridges the commercial-workload traces into the
 // execution driver, so the same machinery (barrier drain, statistics,
-// serial-vs-sharded differential tests) covers trace-driven runs.
+// the pinned corpus test) covers trace-driven runs.
 // max <= 0 drains the source.
 func FromTrace(name string, procs int, src RecSource, max uint64) (Workload, error) {
 	if procs <= 0 {

@@ -192,13 +192,13 @@ func (n *Network) routeOrFail(hops []topo.Hop, m *mesg.Message) ([]topo.Hop, []t
 	}
 	alt := n.altRoute(n.tp.SwitchOrdinal(hops[0].Sw), hops[0].In, m.Dst)
 	if alt == nil {
-		n.doms[0].stats.Unroutable++
+		n.stats.Unroutable++
 		n.fail(&UnroutableError{At: n.eng.Now(), Kind: m.Kind, Src: m.Src, Dst: m.Dst,
 			From: hops[0].Sw, Down: n.DownReport()})
 		return nil, nil, false
 	}
 	if !sameHops(alt, hops) {
-		n.doms[0].stats.Reroutes++
+		n.stats.Reroutes++
 	}
 	return alt, switchSet(hops), true
 }
@@ -227,7 +227,7 @@ func (n *Network) fixRoute(t *tx) bool {
 		return false
 	}
 	if !sameHops(alt, rem) {
-		n.doms[0].stats.Reroutes++
+		n.stats.Reroutes++
 		if t.canon == nil {
 			// First detour: t.hops is still the canonical route.
 			t.canon = switchSet(t.hops)
@@ -337,8 +337,7 @@ func (n *Network) linkRetries(ol *outLink) int {
 // dropUnroutable splices an unroutable message out of input queue
 // (p, v) it already occupies, reports the structured error, and
 // performs the bookkeeping a pop would have done (credit return, arb
-// re-arm). Fault handling is serial-only, so charging the default
-// domain's counters is safe. The arbitration candidates need no
+// re-arm). The arbitration candidates need no
 // update: arrive drops t before registering it, and when t is the
 // head, only reserved placeholders can sit behind it (landings fill
 // reservations in order), so the queue has no landed head either way.
@@ -351,7 +350,7 @@ func (n *Network) dropUnroutable(sw *swc, p topo.Port, v int, t *tx) {
 			break
 		}
 	}
-	n.doms[0].stats.Unroutable++
+	n.stats.Unroutable++
 	n.fail(&UnroutableError{At: n.eng.Now(), Kind: t.m.Kind, Src: t.m.Src, Dst: t.m.Dst,
 		From: t.hops[t.hopIdx].Sw, Down: n.DownReport()})
 	n.afterPop(sw, int(p), v)
@@ -395,7 +394,7 @@ func (n *Network) refloodRoutes() {
 				break
 			}
 		}
-		n.doms[0].stats.Unroutable++
+		n.stats.Unroutable++
 		n.fail(&UnroutableError{At: n.eng.Now(), Kind: d.t.m.Kind, Src: d.t.m.Src, Dst: d.t.m.Dst,
 			From: d.t.hops[d.t.hopIdx].Sw, Down: n.DownReport()})
 		// Sender-side flow control: the vacated slot must hand its
@@ -411,7 +410,7 @@ func (n *Network) refloodRoutes() {
 					kept = append(kept, t)
 					continue
 				}
-				n.doms[0].stats.Unroutable++
+				n.stats.Unroutable++
 				n.fail(&UnroutableError{At: n.eng.Now(), Kind: t.m.Kind, Src: t.m.Src, Dst: t.m.Dst,
 					From: t.hops[0].Sw, Down: n.DownReport()})
 			}

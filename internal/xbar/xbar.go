@@ -21,16 +21,12 @@
 //
 // Every coupling between two switches therefore carries a minimum
 // latency: message arrivals pay core + serialization, credit returns
-// pay CreditLatency = core + one flit time. That uniform floor is the
-// lookahead the sharded engine (sim.ShardedEngine) exploits: switches
-// may live on different shard engines, exchanging arrivals and
-// credits through cross-shard Posts, and the quantum-synchronized run
-// is cycle-identical to the serial one. To keep same-cycle event
-// order unobservable, arbitration is coalesced: arrivals and credits
-// only land state and arm a per-switch arbitration pass that runs
-// after every landing of that cycle (the engine fires same-cycle
-// events in scheduling order, so a pass armed *during* cycle T runs
-// after everything pre-scheduled for T).
+// pay CreditLatency = core + one flit time. Arbitration is coalesced:
+// arrivals and credits only land state and arm a per-switch
+// arbitration pass that runs after every landing of that cycle (the
+// engine fires same-cycle events in scheduling order, so a pass armed
+// *during* cycle T runs after everything pre-scheduled for T), which
+// keeps the order of same-cycle landings unobservable.
 //
 // A Snooper (the switch directory, package sdir) may be attached to
 // every switch. It observes each Table-1 message as the message is
@@ -88,7 +84,7 @@ type Handler func(*mesg.Message)
 type Config struct {
 	CoreCycles  sim.Cycle // switch pipeline delay; 0 means default
 	VCQueueMsgs int       // per-VC input queue capacity; 0 means default
-	// RouteCacheEntries bounds each routing domain's hot-route LRU;
+	// RouteCacheEntries bounds the network's hot-route LRU;
 	// 0 means topo.DefaultRouteCacheEntries.
 	RouteCacheEntries int
 	// Snoop, when non-nil, is attached to every switch.
@@ -112,73 +108,29 @@ type Stats struct {
 	DegradedHops uint64 // traversals of a dead (degraded-forwarding) switch
 }
 
-// add accumulates o into s (per-domain roll-up, see TotalStats).
-func (s *Stats) add(o *Stats) {
-	s.Sent += o.Sent
-	s.Delivered += o.Delivered
-	s.Sunk += o.Sunk
-	s.Generated += o.Generated
-	s.FlitHops += o.FlitHops
-	s.QueueWait += o.QueueWait
-	s.Retransmits += o.Retransmits
-	s.Reroutes += o.Reroutes
-	s.Unroutable += o.Unroutable
-	s.DegradedHops += o.DegradedHops
-}
-
-// domain is the slice of network state owned by one engine (one shard
-// goroutine, or the whole network in serial mode): its stats shard,
-// its tx freelist, and its message-ID stream. Nothing in a domain is
-// ever touched from another shard's engine, so the sharded run needs
-// no locks on the hot path.
-type domain struct {
-	eng   *sim.Engine
-	shard int
-	stats Stats
-	// rc memoizes this domain's hot routes. Per-domain ownership keeps
-	// the topology immutable and the cache lock-free under sharding;
-	// route state is O(capacity) per shard instead of O(Nodes²).
-	rc *topo.RouteCache
-	// txFree recycles tx wrappers: one is live per in-flight message,
-	// dying at final-hop delivery or a snoop sink, so the steady-state
-	// send path allocates nothing. A tx may be freed into a different
-	// domain than it was allocated from (it travels with the message);
-	// freelists only ever shrink and grow on their own engine.
-	txFree []*tx
-	// nextID feeds message-ID assignment. IDs carry the domain's shard
-	// index in the low byte so streams from different shards never
-	// collide; IDs are only ever compared for equality (dedup maps), so
-	// the encoding is unobservable in simulation results.
-	nextID uint64
-	// want is runArb's snapshot of a switch's wantOut mask. Passes never
-	// nest and a domain runs on one engine, so one buffer serves every
-	// switch the domain owns.
-	want []uint64
-}
-
 // newTx hands out a recycled (zeroed) tx, or a fresh one when the
 // freelist is dry.
-func (d *domain) newTx() *tx {
-	if len(d.txFree) == 0 {
+func (n *Network) newTx() *tx {
+	if len(n.txFree) == 0 {
 		return &tx{}
 	}
-	t := d.txFree[len(d.txFree)-1]
-	d.txFree = d.txFree[:len(d.txFree)-1]
+	t := n.txFree[len(n.txFree)-1]
+	n.txFree = n.txFree[:len(n.txFree)-1]
 	return t
 }
 
 // freeTx returns a finished tx to the freelist. The caller must hold
 // the only reference (the tx has left every queue).
-func (d *domain) freeTx(t *tx) {
+func (n *Network) freeTx(t *tx) {
 	*t = tx{}
-	d.txFree = append(d.txFree, t)
+	n.txFree = append(n.txFree, t)
 }
 
-// assignID gives m a fresh network ID from this domain's stream.
-func (d *domain) assignID(m *mesg.Message) {
+// assignID gives m a fresh network ID.
+func (n *Network) assignID(m *mesg.Message) {
 	if m.ID == 0 {
-		d.nextID++
-		m.ID = d.nextID<<8 | uint64(d.shard+1)
+		n.nextID++
+		m.ID = n.nextID
 	}
 }
 
@@ -264,7 +216,6 @@ type outLink struct {
 type swc struct {
 	id  topo.SwitchID
 	ord int               // topo.SwitchOrdinal(id), for event-arg encoding
-	dom *domain           // owning shard domain (serial: the one domain)
 	in  [][VCsPerPort]vcq // indexed by input port
 	out []outLink         // indexed by output port
 	ups []upstream        // indexed by input port
@@ -272,8 +223,7 @@ type swc struct {
 	// credit, injection, link-free) of a cycle schedules one opArb pass
 	// for this switch at that cycle; later landings see it armed. The
 	// pass therefore always observes the cycle's complete state, which
-	// makes same-cycle landing order unobservable — the keystone of
-	// serial/sharded equivalence.
+	// makes same-cycle landing order unobservable.
 	arbArmed bool
 	arbAt    sim.Cycle
 	// queued counts landed (non-placeholder) entries across all input
@@ -302,7 +252,7 @@ func qIndex(p, v int) int { return p*VCsPerPort + v }
 
 // Network is the full BMIN with endpoint attachment points.
 type Network struct {
-	eng       *sim.Engine // serial/diagnostics engine (doms[0] before sharding)
+	eng       *sim.Engine
 	tp        *topo.T
 	cfg       Config
 	core      sim.Cycle
@@ -323,16 +273,24 @@ type Network struct {
 	injProc []injLink
 	injMem  []injLink
 
-	// doms holds one state domain per engine; swc.dom and
-	// procDom/memDom index into it. Serial mode has exactly one.
-	doms    []*domain
-	procDom []*domain
-	memDom  []*domain
+	stats Stats
+	// rc memoizes hot routes, keeping route state O(capacity) instead
+	// of O(Nodes²).
+	rc *topo.RouteCache
+	// txFree recycles tx wrappers: one is live per in-flight message,
+	// dying at final-hop delivery or a snoop sink, so the steady-state
+	// send path allocates nothing.
+	txFree []*tx
+	// nextID feeds message-ID assignment. IDs are only ever compared
+	// for equality (dedup maps).
+	nextID uint64
+	// want is runArb's snapshot of a switch's wantOut mask. Passes never
+	// nest, so one buffer serves every switch.
+	want []uint64
 
 	// Fault state (see faults.go). nFaults gates every fault-aware
 	// branch: while zero, behaviour is bit-identical to the
-	// fault-oblivious fabric. Fault injection is a serial-only feature
-	// (core rejects fault plans in sharded mode).
+	// fault-oblivious fabric.
 	nFaults      int
 	downLinks    []topo.Link
 	downSwitches []topo.SwitchID
@@ -343,8 +301,7 @@ type Network struct {
 	Fail func(error)
 
 	// Trace, when set, observes every message lifecycle event:
-	// "send", "sink", "gen", "deliver". For debugging protocols;
-	// serial-only (core rejects Trace in sharded mode).
+	// "send", "sink", "gen", "deliver". For debugging protocols.
 	Trace func(event string, at sim.Cycle, m *mesg.Message)
 }
 
@@ -373,15 +330,9 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 		memH:      make([]Handler, tp.Nodes),
 		injProc:   make([]injLink, tp.Nodes),
 		injMem:    make([]injLink, tp.Nodes),
-		procDom:   make([]*domain, tp.Nodes),
-		memDom:    make([]*domain, tp.Nodes),
+		rc:        topo.NewRouteCache(tp, cfg.RouteCacheEntries),
 	}
-	d := n.newDomain(eng, 0)
-	n.doms = []*domain{d}
-	for i := 0; i < tp.Nodes; i++ {
-		n.procDom[i] = d
-		n.memDom[i] = d
-	}
+	n.want = make([]uint64, n.outWords)
 	n.build()
 	return n
 }
@@ -389,150 +340,19 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 // words reports how many 64-bit words hold an n-bit mask.
 func words(n int) int { return (n + 63) / 64 }
 
-// newDomain builds the state domain of one engine.
-func (n *Network) newDomain(eng *sim.Engine, shard int) *domain {
-	return &domain{
-		eng:   eng,
-		shard: shard,
-		rc:    topo.NewRouteCache(n.tp, n.cfg.RouteCacheEntries),
-		want:  make([]uint64, n.outWords),
-	}
-}
+// HopLatency reports the minimum latency of one switch-to-switch
+// coupling (a message arrival or a credit return): the switch core
+// plus one flit of link serialization.
+func (n *Network) HopLatency() sim.Cycle { return n.creditLat }
 
-// Lookahead reports the minimum latency of any switch-to-switch
-// coupling (message arrival or credit return): the conservative-PDES
-// lookahead a sharded run of this network may use as its quantum.
-func (n *Network) Lookahead() sim.Cycle { return n.creditLat }
-
-// Lookahead reports the sharding lookahead a network built from this
-// configuration will have, without constructing it: the machine needs
-// the value to size its engine group before the network exists.
-func (c Config) Lookahead() sim.Cycle {
-	core := c.CoreCycles
-	if core == 0 {
-		core = DefaultCoreCycles
-	}
-	return core + mesg.LinkCyclesPerFlit
-}
-
-// InjectionFloor reports the minimum serialization delay of one flit
-// on a link for this configuration — the floor any occupancy-derived
-// lookahead refinement may assume for a message that has not yet
-// started traversal.
-func (c Config) InjectionFloor() sim.Cycle { return mesg.LinkCyclesPerFlit }
-
-// LookaheadMatrix reports the per-shard-pair lookahead floors of the
-// sharded fabric: entry [i][j] is the minimum number of cycles before
-// anything shard i does can be observed by shard j. Both couplings a
-// physical link carries — message arrival downstream (switch core +
-// one flit serialization) and credit return upstream (the same sum) —
-// cost at least Lookahead() per link crossed, so the entry for a pair
-// of shards is Lookahead() times the link distance between their
-// switch domains (all-pairs shortest path over the link topology).
-// Pairs whose domains share no fabric path keep a huge-but-finite
-// sentinel: the fabric alone never couples them, and callers wiring
-// non-fabric couplings (e.g. the workload driver's control channel)
-// must clamp the affected entries down before handing the matrix to
-// ShardedEngine.SetLookaheadMatrix. Call after Shard.
-func (n *Network) LookaheadMatrix() [][]sim.Cycle {
-	k := len(n.doms)
-	const far = sim.Cycle(1) << 40
-	m := make([][]sim.Cycle, k)
-	for i := range m {
-		m[i] = make([]sim.Cycle, k)
-		for j := range m[i] {
-			if i != j {
-				m[i][j] = far
-			}
-		}
-	}
-	for si := range n.switches {
-		sw := &n.switches[si]
-		for _, ol := range sw.out {
-			if ol.toSwitch < 0 {
-				continue // endpoint link: co-located by Shard's invariant
-			}
-			a, b := sw.dom.shard, n.switches[ol.toSwitch].dom.shard
-			if a == b {
-				continue
-			}
-			if n.creditLat < m[a][b] {
-				m[a][b] = n.creditLat // arrivals downstream
-			}
-			if n.creditLat < m[b][a] {
-				m[b][a] = n.creditLat // credit returns upstream
-			}
-		}
-	}
-	for mid := 0; mid < k; mid++ {
-		for i := 0; i < k; i++ {
-			if m[i][mid] >= far {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if d := m[i][mid] + m[mid][j]; d < m[i][j] {
-					m[i][j] = d
-				}
-			}
-		}
-	}
-	return m
-}
-
-// Shard partitions the fabric across per-shard engines: engs[i] runs
-// shard i, swShard assigns each switch ordinal, and procShard/memShard
-// assign each node's processor-side and memory-side NI. Endpoint links
-// are synchronous (injection reserves buffer slots directly), so every
-// NI must be co-located with the switch it attaches to; switch-to-
-// switch links may cross shards because both directions (arrivals and
-// credits) carry at least Lookahead() cycles. Must be called before
-// any traffic is injected.
-func (n *Network) Shard(engs []*sim.Engine, swShard, procShard, memShard []int) {
-	n.doms = make([]*domain, len(engs))
-	for i, e := range engs {
-		n.doms[i] = n.newDomain(e, i)
-	}
-	for i := range n.switches {
-		n.switches[i].dom = n.doms[swShard[n.switches[i].ord]]
-	}
-	for i := 0; i < n.tp.Nodes; i++ {
-		leaf := n.tp.SwitchOrdinal(n.tp.LeafOf(i))
-		top := n.tp.SwitchOrdinal(n.tp.TopOf(i))
-		if procShard[i] != swShard[leaf] {
-			panic(fmt.Sprintf("xbar: proc %d on shard %d but its leaf switch on %d", i, procShard[i], swShard[leaf]))
-		}
-		if memShard[i] != swShard[top] {
-			panic(fmt.Sprintf("xbar: mem %d on shard %d but its top switch on %d", i, memShard[i], swShard[top]))
-		}
-		n.procDom[i] = n.doms[procShard[i]]
-		n.memDom[i] = n.doms[memShard[i]]
-	}
-}
-
-// TotalStats rolls up the per-domain stats shards. Call it only when
-// the engines are quiescent (between runs or at a barrier).
-func (n *Network) TotalStats() Stats {
-	var s Stats
-	for _, d := range n.doms {
-		s.add(&d.stats)
-	}
-	return s
-}
-
-// endDom returns the domain owning an endpoint NI.
-func (n *Network) endDom(e mesg.End) *domain {
-	if e.Side == mesg.ProcSide {
-		return n.procDom[e.Node]
-	}
-	return n.memDom[e.Node]
-}
+// TotalStats reports the network's counters.
+func (n *Network) TotalStats() Stats { return n.stats }
 
 // build wires switches and links from the topology's Peer oracle, so
 // the same code covers every stage count. Port arrays and arbitration
 // masks are carved from five fabric-wide slabs in ordinal
-// (stage-major) order: a rank's — and hence a shard subtree's — switch
-// state is contiguous in memory, and construction does five
-// allocations instead of five per switch.
+// (stage-major) order: a rank's switch state is contiguous in memory,
+// and construction does five allocations instead of five per switch.
 func (n *Network) build() {
 	tp := n.tp
 	r := tp.Radix
@@ -549,7 +369,6 @@ func (n *Network) build() {
 		s := &n.switches[ord]
 		s.id = tp.OrdinalSwitch(ord)
 		s.ord = ord
-		s.dom = n.doms[0]
 		s.in = inSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
 		s.out = outSlab[ord*nout : (ord+1)*nout : (ord+1)*nout]
 		s.ups = upsSlab[ord*nin : (ord+1)*nin : (ord+1)*nin]
@@ -602,20 +421,20 @@ func (n *Network) AttachProc(i int, h Handler) { n.procH[i] = h }
 func (n *Network) AttachMem(i int, h Handler) { n.memH[i] = h }
 
 // route computes the hop sequence for a message between endpoints,
-// through the sending domain's hot-route cache. The block address
+// through the hot-route cache. The block address
 // selects the turnaround pivot for processor-to-processor messages so
 // a transaction's reply stays in its home's subtree. Returned slices
 // are shared with the cache and must be treated as immutable (the
 // fault overlay's detours always build fresh slices).
-func (n *Network) route(dom *domain, m *mesg.Message) []topo.Hop {
+func (n *Network) route(m *mesg.Message) []topo.Hop {
 	s, d := m.Src, m.Dst
 	switch {
 	case s.Side == mesg.ProcSide && d.Side == mesg.MemSide:
-		return dom.rc.Forward(s.Node, d.Node)
+		return n.rc.Forward(s.Node, d.Node)
 	case s.Side == mesg.MemSide && d.Side == mesg.ProcSide:
-		return dom.rc.Backward(s.Node, d.Node)
+		return n.rc.Backward(s.Node, d.Node)
 	case s.Side == mesg.ProcSide && d.Side == mesg.ProcSide:
-		return dom.rc.Turnaround(s.Node, d.Node, int(m.Addr>>5))
+		return n.rc.Turnaround(s.Node, d.Node, int(m.Addr>>5))
 	default:
 		panic(fmt.Sprintf("xbar: unsupported route %v -> %v", s, d))
 	}
@@ -695,7 +514,7 @@ func (n *Network) OnEvent(op int, arg uint64, data any) {
 	case opInjArrive:
 		t := data.(*tx)
 		sw := &n.switches[arg]
-		t.enqueued = sw.dom.eng.Now()
+		t.enqueued = n.eng.Now()
 		p, v := len(sw.in)-1, vcFor(t.m)
 		q := &sw.in[p][v]
 		q.push(t)
@@ -710,18 +529,17 @@ func (n *Network) OnEvent(op int, arg uint64, data any) {
 // Send injects m at its source endpoint. Delivery is asynchronous via
 // the attached handler. The message's ID is assigned if zero.
 func (n *Network) Send(m *mesg.Message) {
-	dom := n.endDom(m.Src)
-	dom.assignID(m)
-	dom.stats.Sent++
+	n.assignID(m)
+	n.stats.Sent++
 	if n.Trace != nil {
-		n.Trace("send", dom.eng.Now(), m)
+		n.Trace("send", n.eng.Now(), m)
 	}
-	hops, canon, ok := n.routeOrFail(n.route(dom, m), m)
+	hops, canon, ok := n.routeOrFail(n.route(m), m)
 	if !ok {
 		return
 	}
-	t := dom.newTx()
-	t.m, t.hops, t.canon, t.injected = m, hops, canon, dom.eng.Now()
+	t := n.newTx()
+	t.m, t.hops, t.canon, t.injected = m, hops, canon, n.eng.Now()
 	var il *injLink
 	if m.Src.Side == mesg.ProcSide {
 		il = &n.injProc[m.Src.Node]
@@ -733,9 +551,7 @@ func (n *Network) Send(m *mesg.Message) {
 }
 
 // pumpInjection moves pending endpoint messages onto the first
-// switch's input queue as link time and buffer space allow. The NI and
-// its switch always share a domain (enforced by Shard), so the direct
-// queue reservation is shard-safe.
+// switch's input queue as link time and buffer space allow.
 func (n *Network) pumpInjection(il *injLink) {
 	for len(il.pending) > 0 {
 		t := il.pending[0]
@@ -746,7 +562,7 @@ func (n *Network) pumpInjection(il *injLink) {
 		if q.full() {
 			return // retried when the queue drains (credit return)
 		}
-		eng := sw.dom.eng
+		eng := n.eng
 		now := eng.Now()
 		start := now
 		if il.freeAt > start {
@@ -772,7 +588,7 @@ func (n *Network) pumpInjection(il *injLink) {
 // decision itself runs in the coalesced end-of-landings pass.
 func (n *Network) arrive(sw *swc, p topo.Port, v int, t *tx) {
 	q := &sw.in[p][v]
-	t.enqueued = sw.dom.eng.Now()
+	t.enqueued = n.eng.Now()
 	if sw.ups[p].fromSwitch < 0 {
 		for i, e := range q.q {
 			if e == nil {
@@ -850,7 +666,7 @@ func (n *Network) armArb(sw *swc) {
 	if sw.queued == 0 {
 		return // no candidate can exist; nothing to arbitrate
 	}
-	eng := sw.dom.eng
+	eng := n.eng
 	now := eng.Now()
 	if sw.arbArmed && sw.arbAt == now {
 		return
@@ -865,8 +681,8 @@ func (n *Network) armArb(sw *swc) {
 // event-coupled equivalent of the old grant-chain recursion.
 func (n *Network) runArb(sw *swc) {
 	sw.arbArmed = false
-	now := sw.dom.eng.Now()
-	want := sw.dom.want
+	now := n.eng.Now()
+	want := n.want
 	for {
 		// Snapshot which outputs have any candidate at all; only those,
 		// in ascending port order, pay a pickOldest pass. Decisions stay
@@ -899,7 +715,7 @@ func (n *Network) runArb(sw *swc) {
 // this output whose downstream buffer credit allows it. It reports
 // whether at least one message was granted.
 func (n *Network) tryOutput(sw *swc, out topo.Port) bool {
-	eng := sw.dom.eng
+	eng := n.eng
 	ol := &sw.out[out]
 	any := false
 	for {
@@ -950,8 +766,7 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 	q := &sw.in[p][v]
 	t := q.head()
 	ol := &sw.out[out]
-	dom := sw.dom
-	eng := dom.eng
+	eng := n.eng
 	// Check downstream credit before snooping: a blocked message has
 	// not yet entered the switch pipeline.
 	if ol.toSwitch >= 0 && ol.credit[vcFor(t.m)] == 0 {
@@ -962,7 +777,7 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 	sw.queued--
 	n.noteHead(sw, p, v)
 	now := eng.Now()
-	dom.stats.QueueWait += uint64(now - t.enqueued)
+	n.stats.QueueWait += uint64(now - t.enqueued)
 
 	// Snoop: the switch directory (and/or switch cache) observes the
 	// message in parallel with the switch core (Section 4.2). The
@@ -975,7 +790,7 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 		// dead, so the snoop is skipped and the traversal pays the
 		// maintenance-bypass penalty.
 		extra = DegradedPenalty
-		dom.stats.DegradedHops++
+		n.stats.DegradedHops++
 		t.skipSnoopOnce = false
 	} else if t.skipSnoopOnce {
 		t.skipSnoopOnce = false
@@ -983,26 +798,26 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 		act := n.cfg.Snoop.Snoop(sw.id, t.m, now)
 		extra = act.ExtraDelay
 		for _, g := range act.Generated {
-			dom.stats.Generated++
+			n.stats.Generated++
 			if n.Trace != nil {
 				n.Trace(fmt.Sprintf("gen@%v", sw.id), now, g)
 			}
 			n.injectAt(sw, g, now+extra)
 		}
 		if act.Sink {
-			dom.stats.Sunk++
+			n.stats.Sunk++
 			if n.Trace != nil {
 				n.Trace(fmt.Sprintf("sink@%v", sw.id), now, t.m)
 			}
 			n.afterPop(sw, p, v)
-			dom.freeTx(t)
+			n.freeTx(t)
 			return true
 		}
 	}
 
 	start := now + extra
 	ser := sim.Cycle(t.m.Flits() * mesg.LinkCyclesPerFlit)
-	dom.stats.FlitHops += uint64(t.m.Flits())
+	n.stats.FlitHops += uint64(t.m.Flits())
 	if ol.corrupt != nil {
 		if retries := n.linkRetries(ol); retries > 0 {
 			// Corrupted transmissions are rejected by the receiver's
@@ -1010,8 +825,8 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 			// buffer; the link stays occupied for the nack round trip
 			// plus each re-serialization. The downstream credit is
 			// untouched, so flow-control accounting is unaffected.
-			dom.stats.Retransmits += uint64(retries)
-			dom.stats.FlitHops += uint64(retries * t.m.Flits())
+			n.stats.Retransmits += uint64(retries)
+			n.stats.FlitHops += uint64(retries * t.m.Flits())
 			ser += sim.Cycle(retries) * (ser + RetxRoundTrip)
 		}
 	}
@@ -1019,13 +834,12 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 	arrive := start + n.core + ser
 
 	if ol.toSwitch < 0 {
-		eng.Post(n.endDom(ol.toEnd).eng, arrive, n, opDeliver, endArg(ol.toEnd), t.m)
-		dom.freeTx(t) // the message travels on alone; the wrapper is done
+		eng.AtEvent(arrive, n, opDeliver, endArg(ol.toEnd), t.m)
+		n.freeTx(t) // the message travels on alone; the wrapper is done
 	} else {
 		t.hopIdx++
 		ol.credit[vcFor(t.m)]--
-		eng.Post(n.switches[ol.toSwitch].dom.eng, arrive, n,
-			opArrive, qArg(ol.toSwitch, ol.toPort, vcFor(t.m)), t)
+		eng.AtEvent(arrive, n, opArrive, qArg(ol.toSwitch, ol.toPort, vcFor(t.m)), t)
 	}
 	// When the link frees, arm arbitration again for this switch.
 	eng.AtEvent(ol.freeAt, n, opArbTrigger, uint64(sw.ord)<<32|uint64(uint32(out)), nil)
@@ -1035,9 +849,9 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 
 // afterPop returns the drained slot of input queue (p, v) to whoever
 // feeds it: an endpoint injection link is pumped synchronously (always
-// same-domain), an upstream switch receives a credit event after
-// CreditLatency cycles (credit-flit serialization plus its core) —
-// possibly across shards. Head re-arbitration is the arb pass's job.
+// an upstream switch receives a credit event after CreditLatency
+// cycles (credit-flit serialization plus its core). Head
+// re-arbitration is the arb pass's job.
 func (n *Network) afterPop(sw *swc, p, v int) {
 	if p == len(sw.in)-1 {
 		// Internal injection block: the snooper's queue has no
@@ -1055,39 +869,35 @@ func (n *Network) afterPop(sw *swc, p, v int) {
 		n.pumpInjection(il)
 		return
 	}
-	eng := sw.dom.eng
-	eng.Post(n.switches[up.fromSwitch].dom.eng, eng.Now()+n.creditLat, n,
-		opCredit, qArg(up.fromSwitch, up.fromPort, v), nil)
+	n.eng.AtEvent(n.eng.Now()+n.creditLat, n, opCredit, qArg(up.fromSwitch, up.fromPort, v), nil)
 }
 
 // injectAt places a snooper-generated message in this switch's
 // internal injection block, with its route computed from this switch.
 func (n *Network) injectAt(sw *swc, m *mesg.Message, when sim.Cycle) {
-	dom := sw.dom
-	dom.assignID(m)
+	n.assignID(m)
 	hops, canon, ok := n.routeOrFail(n.routeFrom(sw, m), m)
 	if !ok {
 		return
 	}
-	t := dom.newTx()
+	t := n.newTx()
 	t.m, t.hops, t.canon, t.injected, t.skipSnoopOnce = m, hops, canon, when, true
-	dom.eng.AtEvent(when, n, opInjArrive, uint64(sw.ord), t)
+	n.eng.AtEvent(when, n, opInjArrive, uint64(sw.ord), t)
 }
 
 // routeFrom computes a route for a message created inside switch sw,
-// entering on the internal injection pseudo-port, through the owning
-// domain's route cache (topo.RouteFrom does the arithmetic).
+// entering on the internal injection pseudo-port, through the route
+// cache (topo.RouteFrom does the arithmetic).
 func (n *Network) routeFrom(sw *swc, m *mesg.Message) []topo.Hop {
 	inj := topo.Port(2 * n.tp.Radix)
-	return sw.dom.rc.RouteFrom(sw.id, inj, m.Dst.Side == mesg.MemSide, m.Dst.Node, int(m.Addr>>5))
+	return n.rc.RouteFrom(sw.id, inj, m.Dst.Side == mesg.MemSide, m.Dst.Node, int(m.Addr>>5))
 }
 
 // deliverEnd hands a message to the endpoint handler.
 func (n *Network) deliverEnd(e mesg.End, m *mesg.Message) {
-	dom := n.endDom(e)
-	dom.stats.Delivered++
+	n.stats.Delivered++
 	if n.Trace != nil {
-		n.Trace("deliver", dom.eng.Now(), m)
+		n.Trace("deliver", n.eng.Now(), m)
 	}
 	var h Handler
 	if e.Side == mesg.ProcSide {
@@ -1102,8 +912,6 @@ func (n *Network) deliverEnd(e mesg.End, m *mesg.Message) {
 }
 
 // Quiesced reports whether the network holds no in-flight messages.
-// In sharded mode it reads every shard's queues, so it may only be
-// called while the shard engines are stopped (between runs).
 func (n *Network) Quiesced() bool {
 	for i := range n.injProc {
 		if len(n.injProc[i].pending) > 0 || len(n.injMem[i].pending) > 0 {
