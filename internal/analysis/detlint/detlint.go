@@ -15,9 +15,10 @@
 //   - `go` statements (each engine is strictly single-threaded;
 //     goroutine interleaving is nondeterministic by definition). The
 //     exception is registered per *function* (goAllowedFuncs), not
-//     per package: figures.SweepN fans whole single-threaded
-//     simulations out over a worker pool and joins them. Everywhere
-//     else, including the rest of that package, `go` stays flagged.
+//     per package: figures.SweepCtx (which SweepN wraps) fans whole
+//     single-threaded simulations out over a worker pool and joins
+//     them. Everywhere else, including the rest of that package, `go`
+//     stays flagged.
 //
 // A map range is allowed when its body is order-insensitive: pure
 // reads, accumulation through builtins (`keys = append(keys, k)`

@@ -25,6 +25,7 @@ import (
 
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
+	"dresar/internal/xbar"
 )
 
 // ProtocolError is a structured protocol-hole diagnostic: a message
@@ -78,15 +79,14 @@ func New() *Monitor {
 
 func key(node int, addr uint64) string { return fmt.Sprintf("P%d:%#x", node, addr) }
 
-// Observe is compatible with xbar.Network.Trace. Events: "send",
-// "deliver", "sink@...", "gen@...".
-func (m *Monitor) Observe(ev string, at sim.Cycle, msg *mesg.Message) {
-	switch {
-	case ev == "send" || strings.HasPrefix(ev, "gen@"):
+// Observe is compatible with xbar.Network.Trace.
+func (m *Monitor) Observe(ev xbar.Event, at sim.Cycle, msg *mesg.Message) {
+	switch ev.Kind {
+	case xbar.EvSend, xbar.EvGen:
 		m.onInject(msg)
-	case ev == "deliver":
+	case xbar.EvDeliver:
 		m.onDeliver(at, msg)
-	case strings.HasPrefix(ev, "sink@"):
+	case xbar.EvSink:
 		m.onSink(msg)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dresar/internal/mesg"
 	"dresar/internal/sim"
+	"dresar/internal/xbar"
 )
 
 // TestDebugCanaries replays random-reference stress seeds that once
@@ -43,7 +44,7 @@ func TestDebugCanaries(t *testing.T) {
 			cfg.CheckCoherence = true
 			m := MustNew(cfg)
 			var trace []string
-			m.Net.Trace = func(ev string, at sim.Cycle, msg *mesg.Message) {
+			m.Net.Trace = func(ev xbar.Event, at sim.Cycle, msg *mesg.Message) {
 				if msg.Addr&^31 == tc.watch {
 					trace = append(trace, fmt.Sprintf("%8d %-14s %v fw=%v nd=%v sh=%v",
 						at, ev, msg, msg.ForWrite, msg.NoData, msg.Sharers))

@@ -11,6 +11,7 @@ import (
 	"dresar/internal/mesg"
 	"dresar/internal/sdir"
 	"dresar/internal/sim"
+	"dresar/internal/xbar"
 )
 
 // TestFuzzProtocol runs many randomized stress campaigns across the
@@ -66,7 +67,7 @@ func TestFuzzProtocol(t *testing.T) {
 		var deepTrace []string
 		if w := os.Getenv("DRESAR_FUZZ_WATCH"); w != "" {
 			watch, _ := strconv.ParseUint(w, 0, 64)
-			m.Net.Trace = func(ev string, at sim.Cycle, msg *mesg.Message) {
+			m.Net.Trace = func(ev xbar.Event, at sim.Cycle, msg *mesg.Message) {
 				mon.Observe(ev, at, msg)
 				if msg.Addr&^31 == watch {
 					deepTrace = append(deepTrace, fmt.Sprintf("%8d %-12s %v fw=%v nd=%v sh=%v d=%d", at, ev, msg, msg.ForWrite, msg.NoData, msg.Sharers, msg.Data))

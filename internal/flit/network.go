@@ -17,18 +17,14 @@ type Network struct {
 	switches []*Switch
 	now      uint64
 
-	// routes maps message ID to its hop list; each switch looks its
-	// own hop up by ordinal.
-	routes map[uint64][]topo.Hop
-	// rc memoizes hot routes so steady-state Send stays allocation-
-	// free; the flit network is single-threaded, so one cache serves
-	// the whole fabric. Routes handed out are shared with the cache
-	// and never mutated.
-	rc *topo.RouteCache
-	// msgs keeps the message object until delivery (the head flit
-	// carries it through the switches; the network remembers it for
-	// reassembly).
-	msgs map[uint64]*mesg.Message
+	// live maps each in-flight message's ID to the message and its
+	// route: each switch finds its own hop on the route, and delivery
+	// recovers the message object (the head flit carries it through
+	// the switches; the network remembers it for reassembly).
+	live map[uint64]liveMsg
+	// hopFree recycles the hop buffers of delivered messages, so
+	// steady-state Send routes into warm storage without allocating.
+	hopFree [][]topo.Hop
 
 	// inj is the per-processor/memory injection state: pending flits
 	// and the serialization clock of the injection link.
@@ -36,9 +32,6 @@ type Network struct {
 
 	// linkQ holds flits in transit between switches (wire retiming).
 	linkQ map[linkKey][]Flit
-
-	// assembly gathers delivered flits back into messages.
-	assembly map[uint64]int // msgID -> flits seen
 
 	deliverP, deliverM []func(*mesg.Message)
 
@@ -57,6 +50,12 @@ type Network struct {
 	cfg NetConfig
 
 	Stats NetStats
+}
+
+// liveMsg is one in-flight message and the hop buffer it owns.
+type liveMsg struct {
+	m    *mesg.Message
+	hops []topo.Hop
 }
 
 // NetStats counts network-level events.
@@ -153,13 +152,10 @@ type NetConfig struct {
 func NewNetwork(tp *topo.T, cfg NetConfig) *Network {
 	n := &Network{
 		tp:       tp,
-		routes:   make(map[uint64][]topo.Hop),
-		rc:       topo.NewRouteCache(tp, 0),
-		msgs:     make(map[uint64]*mesg.Message),
+		live:     make(map[uint64]liveMsg),
 		injP:     make([]injState, tp.Nodes),
 		injM:     make([]injState, tp.Nodes),
 		linkQ:    make(map[linkKey][]Flit),
-		assembly: make(map[uint64]int),
 		deliverP: make([]func(*mesg.Message), tp.Nodes),
 		deliverM: make([]func(*mesg.Message), tp.Nodes),
 		links:    make(map[outKey]*linkCtl),
@@ -191,17 +187,19 @@ func (n *Network) Send(m *mesg.Message) {
 		panic("flit: message needs an ID")
 	}
 	var hops []topo.Hop
+	if k := len(n.hopFree); k > 0 {
+		hops, n.hopFree = n.hopFree[k-1], n.hopFree[:k-1]
+	}
 	s, d := m.Src, m.Dst
 	switch {
 	case s.Side == mesg.ProcSide && d.Side == mesg.MemSide:
-		hops = n.rc.Forward(s.Node, d.Node)
+		hops = n.tp.AppendForward(hops, s.Node, d.Node)
 	case s.Side == mesg.MemSide && d.Side == mesg.ProcSide:
-		hops = n.rc.Backward(s.Node, d.Node)
+		hops = n.tp.AppendBackward(hops, s.Node, d.Node)
 	default:
-		hops = n.rc.Turnaround(s.Node, d.Node, int(m.Addr>>5))
+		hops = n.tp.AppendTurnaround(hops, s.Node, d.Node, int(m.Addr>>5))
 	}
-	n.routes[m.ID] = hops
-	n.msgs[m.ID] = m
+	n.live[m.ID] = liveMsg{m: m, hops: hops}
 	fs := PacketizeInto(n.pktScratch[:0], m, n.now, int(hops[0].Out))
 	n.pktScratch = fs
 	st := &n.injP[s.Node]
@@ -275,7 +273,7 @@ func (n *Network) inject(st *injState, end mesg.End) {
 		return
 	}
 	f := st.pending[0]
-	hops := n.routes[f.MsgID]
+	hops := n.live[f.MsgID].hops
 	sw := n.switches[n.tp.SwitchOrdinal(hops[0].Sw)]
 	// The head flit carries Msg; body flits reuse the head's VC, which
 	// destination parity determines deterministically per message.
@@ -290,7 +288,7 @@ func (n *Network) inject(st *injState, end mesg.End) {
 
 // vcForID derives the message's VC from its destination.
 func (n *Network) vcForID(id uint64) int {
-	hops := n.routes[id]
+	hops := n.live[id].hops
 	last := hops[len(hops)-1]
 	return int(last.Out) % VCs
 }
@@ -447,7 +445,8 @@ func (lc *linkCtl) ack(seq uint64) {
 
 // forward routes one flit leaving (switch, out).
 func (n *Network) forward(id topo.SwitchID, ord, out int, f Flit) {
-	hops := n.routes[f.MsgID]
+	lm := n.live[f.MsgID]
+	hops := lm.hops
 	// Find this switch's position on the route.
 	idx := -1
 	for i, h := range hops {
@@ -460,15 +459,13 @@ func (n *Network) forward(id topo.SwitchID, ord, out int, f Flit) {
 		panic(fmt.Sprintf("flit: flit of msg %d left %v port %d off its route %v", f.MsgID, id, out, hops))
 	}
 	if idx == len(hops)-1 {
-		// Endpoint delivery: reassemble the message.
-		n.assembly[f.MsgID]++
+		// Endpoint delivery: the tail flit completes the message.
 		if f.Tail {
-			n.assembly[f.MsgID] = 0
-			delete(n.assembly, f.MsgID)
-			m := n.msgOf(f.MsgID, hops)
 			n.Stats.Delivered++
-			delete(n.routes, f.MsgID)
-			n.deliver(m, hops[idx])
+			delete(n.live, f.MsgID)
+			last := hops[idx]
+			n.hopFree = append(n.hopFree, hops[:0])
+			n.deliver(lm.m, last)
 		}
 		return
 	}
@@ -478,13 +475,6 @@ func (n *Network) forward(id topo.SwitchID, ord, out int, f Flit) {
 	}
 	k := linkKey{sw: n.tp.SwitchOrdinal(next.Sw), port: int(next.In), vc: n.vcForID(f.MsgID)}
 	n.linkQ[k] = append(n.linkQ[k], f)
-}
-
-// msgOf recovers the message object stashed at Send time.
-func (n *Network) msgOf(id uint64, hops []topo.Hop) *mesg.Message {
-	m := n.msgs[id]
-	delete(n.msgs, id)
-	return m
 }
 
 // deliver hands the message to the endpoint past the final hop.

@@ -345,47 +345,3 @@ func TestRouteFromSubsumesInjection(t *testing.T) {
 		}
 	}
 }
-
-// TestRouteCache checks hit identity, bounded occupancy under
-// eviction, and that a warm hit does not allocate.
-func TestRouteCache(t *testing.T) {
-	bt := MustNew(64, 8)
-	rc := NewRouteCache(bt, 32)
-	if got, want := rc.Forward(3, 40), bt.Forward(3, 40); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached forward %v != computed %v", got, want)
-	}
-	// A hit returns the identical slice.
-	a := rc.Forward(5, 9)
-	if b := rc.Forward(5, 9); &a[0] != &b[0] {
-		t.Fatal("cache hit did not return the shared route")
-	}
-	// Flood past capacity: occupancy stays bounded, results stay right.
-	for p := 0; p < bt.Nodes; p++ {
-		for m := 0; m < bt.Nodes; m++ {
-			rc.Forward(p, m)
-		}
-	}
-	if rc.Len() > 32 {
-		t.Fatalf("cache grew to %d entries, cap 32", rc.Len())
-	}
-	if got, want := rc.Backward(40, 3), bt.Backward(40, 3); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-eviction backward %v != %v", got, want)
-	}
-	if got, want := rc.Turnaround(1, 62, 77), bt.Turnaround(1, 62, 77); !reflect.DeepEqual(got, want) {
-		t.Fatalf("cached turnaround %v != %v", got, want)
-	}
-	// The evicted route handed out earlier is still intact (eviction
-	// drops the reference, never reuses the backing array).
-	if !reflect.DeepEqual(a, bt.Forward(5, 9)) {
-		t.Fatal("evicted route was corrupted")
-	}
-	warm := NewRouteCache(bt, 0)
-	warm.Forward(1, 2)
-	warm.Turnaround(3, 60, 9)
-	if n := testing.AllocsPerRun(100, func() {
-		warm.Forward(1, 2)
-		warm.Turnaround(3, 60, 9)
-	}); n != 0 {
-		t.Fatalf("warm route-cache hit allocates %v per run", n)
-	}
-}

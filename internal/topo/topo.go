@@ -22,8 +22,9 @@
 // s-1 digits, and the move between rank i and rank i+1 replaces digit
 // i. A route is therefore computed in O(1) per hop from the endpoint
 // indices alone — no precomputed path tables, so route state no longer
-// grows as nodes². Hot paths are memoized by the bounded RouteCache
-// (routecache.go), which each timed network owns.
+// grows as nodes². The Append* forms write into a caller-owned buffer,
+// so a timed network routes each message into storage it recycles and
+// steady-state routing allocates nothing.
 package topo
 
 import "fmt"
@@ -310,10 +311,8 @@ func (t *T) AppendForward(buf []Hop, proc, mem int) []Hop {
 }
 
 // Forward returns the hop sequence for a processor-to-memory message
-// (the forward path: ReadReq, WriteReq, WriteBack, CopyBack, InvalAck).
-// Callers on hot paths should memoize through a RouteCache; the slice
-// a RouteCache returns is shared, so treat all returned routes as
-// immutable (xbar's fault route splicing copies before mutating).
+// (the forward path: ReadReq, WriteReq, WriteBack, CopyBack, InvalAck)
+// in a fresh slice. Hot paths use AppendForward into a reused buffer.
 func (t *T) Forward(proc, mem int) []Hop {
 	return t.AppendForward(make([]Hop, 0, t.Stages), proc, mem)
 }
@@ -400,20 +399,25 @@ func (t *T) Turnaround(src, dst, sel int) []Hop {
 	return t.AppendTurnaround(make([]Hop, 0, 2*t.Stages-1), src, dst, sel)
 }
 
-// RouteFrom computes a route for a message created inside switch sw
-// (a snooper interception), entering the fabric on the switch-internal
-// injection port in. Destinations below sw's subtree descend directly;
-// memory-side destinations whose top rank is not straight above climb
-// only as far as needed, and processor-side destinations outside the
-// subtree pivot through sel-chosen free digits exactly like
-// Turnaround. The lane arithmetic anchors on sw's first endpoint
-// (index*Radix), matching the pre-arithmetic implementation hop for
-// hop on 2-stage machines.
+// RouteFrom returns the hop sequence for a message created inside
+// switch sw; see AppendRouteFrom.
 func (t *T) RouteFrom(sw SwitchID, in Port, memSide bool, node, sel int) []Hop {
+	return t.AppendRouteFrom(make([]Hop, 0, 2*t.Stages-1), sw, in, memSide, node, sel)
+}
+
+// AppendRouteFrom appends the route of a message created inside
+// switch sw (a snooper interception) to buf, entering the fabric on
+// the switch-internal injection port in. Destinations below sw's
+// subtree descend directly; memory-side destinations whose top rank is
+// not straight above climb only as far as needed, and processor-side
+// destinations outside the subtree pivot through sel-chosen free
+// digits exactly like Turnaround. The lane arithmetic anchors on sw's
+// first endpoint (index*Radix), matching the pre-arithmetic
+// implementation hop for hop on 2-stage machines.
+func (t *T) AppendRouteFrom(buf []Hop, sw SwitchID, in Port, memSide bool, node, sel int) []Hop {
 	t.checkNode(node)
 	w, rank := sw.Index, sw.Stage
 	anchor := sw.Index * t.Radix
-	buf := make([]Hop, 0, 2*t.Stages-1)
 	if memSide {
 		top := node / t.Radix
 		// Descend until every digit below the current rank matches the

@@ -2,6 +2,7 @@ package xbar
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,15 +206,21 @@ func TestDownIsIdempotent(t *testing.T) {
 }
 
 // FuzzRoute throws random (endpoint pair, kind, fault set) combinations
-// at the fabric: whatever the fault state, a single message must either
-// be delivered exactly once or be reported unroutable exactly once —
-// never lost, duplicated, panicked, or wedged.
+// at the fabric: whatever the fault state, each message must either be
+// delivered exactly once or be reported unroutable exactly once —
+// never lost, duplicated, panicked, or wedged. A second message, the
+// first one's reverse, follows once the first is delivered or dropped:
+// it reuses the first one's recycled tx, so a hop buffer left dirty by
+// a detour or a drop would misroute it.
 func FuzzRoute(f *testing.F) {
 	f.Add(uint8(0), uint8(15), uint8(0), uint32(0x40), uint8(0), uint8(0))
 	f.Add(uint8(3), uint8(12), uint8(1), uint32(0x1000), uint8(7), uint8(1))
 	f.Add(uint8(15), uint8(0), uint8(2), uint32(0), uint8(31), uint8(2))
 	f.Add(uint8(5), uint8(5), uint8(2), uint32(0xfff), uint8(16), uint8(3))
 	f.Add(uint8(9), uint8(2), uint8(0), uint32(1<<20), uint8(40), uint8(7))
+	// The first message detours around a dead switch; its reverse
+	// routes canonically on the recycled tx.
+	f.Add(uint8(15), uint8(0), uint8(2), uint32(0), uint8(8), uint8(2))
 	f.Fuzz(func(t *testing.T, srcB, dstB, kindB uint8, addr uint32, faultB, modeB uint8) {
 		tp := topo.MustNew(16, 4)
 		eng := sim.NewEngine()
@@ -268,14 +275,34 @@ func FuzzRoute(f *testing.F) {
 			eng.At(3, func() { net.DownLink(l.Sw, l.Out) })
 		}
 		eng.Run(0)
-		if delivered+unroutable != 1 {
-			t.Fatalf("delivered=%d unroutable=%d, want exactly one outcome", delivered, unroutable)
+		check := func(sent int) {
+			t.Helper()
+			if delivered+unroutable != sent {
+				t.Fatalf("delivered=%d unroutable=%d, want %d outcomes", delivered, unroutable, sent)
+			}
+			if !net.Quiesced() {
+				t.Fatal("network not quiesced")
+			}
+			st := net.TotalStats()
+			if st.Sent != uint64(sent) || st.Delivered+st.Unroutable != uint64(sent) {
+				t.Fatalf("stats outcome for %d sends: %+v", sent, st)
+			}
 		}
-		if !net.Quiesced() {
-			t.Fatal("network not quiesced")
+		check(1)
+
+		// Delivery and drops both recycle the tx; the second message
+		// must get it back with a clean hop buffer.
+		if len(net.txFree) == 0 {
+			t.Fatal("first message's tx was not recycled")
 		}
-		if got := net.TotalStats().Delivered + net.TotalStats().Unroutable; got != 1 {
-			t.Fatalf("stats outcome = %d: %+v", got, net.TotalStats())
+		reused := net.txFree[len(net.txFree)-1]
+		m2 := &mesg.Message{Kind: m.Kind, Src: m.Dst, Dst: m.Src, Addr: m.Addr}
+		canonical := net.route(nil, m2)
+		net.Send(m2)
+		if !net.routeBlocked(canonical) && (reused.m != m2 || !slices.Equal(reused.hops, canonical) || reused.canon != nil) {
+			t.Fatalf("recycled tx routes %v (canon %v), want canonical %v", reused.hops, reused.canon, canonical)
 		}
+		eng.Run(0)
+		check(2)
 	})
 }

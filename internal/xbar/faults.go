@@ -34,6 +34,7 @@ package xbar
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dresar/internal/mesg"
@@ -152,6 +153,16 @@ func (n *Network) DownReport() string {
 	return b.String()
 }
 
+// unroutable drops t, which has left every queue, and reports the
+// structured error naming the switch where its route gave up.
+func (n *Network) unroutable(t *tx) {
+	err := &UnroutableError{At: n.eng.Now(), Kind: t.m.Kind, Src: t.m.Src, Dst: t.m.Dst,
+		From: t.hops[t.hopIdx].Sw, Down: n.DownReport()}
+	n.freeTx(t)
+	n.stats.Unroutable++
+	n.fail(err)
+}
+
 // fail delivers a fabric error to the attached sink. Without a sink
 // the error is unrecoverable by construction: panic rather than let a
 // partition silently eat traffic.
@@ -179,28 +190,29 @@ func (n *Network) routeBlocked(hops []topo.Hop) bool {
 	return false
 }
 
-// routeOrFail applies the fault overlay to a freshly computed
+// routeOrFail applies the fault overlay to t's freshly computed
 // canonical route: unchanged when clean, rerouted around dead elements
 // when possible, dropped with a structured error when the destination
-// is partitioned. The canon result is the canonical route's switch set
-// when a detour replaced it (nil when the route is unchanged); it gates
-// directory snooping, see tx.onCanon. The bool result is false only in
-// the drop case (the caller must not inject the message).
-func (n *Network) routeOrFail(hops []topo.Hop, m *mesg.Message) ([]topo.Hop, []topo.SwitchID, bool) {
-	if !n.faulty() || !n.routeBlocked(hops) {
-		return hops, nil, true
+// is partitioned. A detour is copied into t's own hop buffer after
+// t.canon captures the canonical route's switch set, which gates
+// directory snooping (see tx.onCanon). It returns false only in the
+// drop case, when t has already gone back to the freelist and the
+// caller must not inject it.
+func (n *Network) routeOrFail(t *tx) bool {
+	if !n.faulty() || !n.routeBlocked(t.hops) {
+		return true
 	}
-	alt := n.altRoute(n.tp.SwitchOrdinal(hops[0].Sw), hops[0].In, m.Dst)
+	alt := n.altRoute(n.tp.SwitchOrdinal(t.hops[0].Sw), t.hops[0].In, t.m.Dst)
 	if alt == nil {
-		n.stats.Unroutable++
-		n.fail(&UnroutableError{At: n.eng.Now(), Kind: m.Kind, Src: m.Src, Dst: m.Dst,
-			From: hops[0].Sw, Down: n.DownReport()})
-		return nil, nil, false
+		n.unroutable(t)
+		return false
 	}
-	if !sameHops(alt, hops) {
+	if !slices.Equal(alt, t.hops) {
 		n.stats.Reroutes++
 	}
-	return alt, switchSet(hops), true
+	t.canon = switchSet(t.hops)
+	t.hops = append(t.hops[:0], alt...)
+	return true
 }
 
 // switchSet extracts the switches of a route.
@@ -213,9 +225,9 @@ func switchSet(hops []topo.Hop) []topo.SwitchID {
 }
 
 // fixRoute makes t's residual route legal under the current fault
-// state, splicing in an alternate path from its current switch when
-// the canonical one crosses a dead element. Returns false when the
-// destination is unreachable.
+// state, splicing an alternate path from its current switch in place
+// of the residual route when that crosses a dead element. Returns
+// false when the destination is unreachable.
 func (n *Network) fixRoute(t *tx) bool {
 	rem := t.hops[t.hopIdx:]
 	if !n.routeBlocked(rem) {
@@ -226,13 +238,13 @@ func (n *Network) fixRoute(t *tx) bool {
 	if alt == nil {
 		return false
 	}
-	if !sameHops(alt, rem) {
+	if !slices.Equal(alt, rem) {
 		n.stats.Reroutes++
 		if t.canon == nil {
 			// First detour: t.hops is still the canonical route.
 			t.canon = switchSet(t.hops)
 		}
-		t.hops = append(t.hops[:t.hopIdx:t.hopIdx], alt...)
+		t.hops = append(t.hops[:t.hopIdx], alt...)
 	}
 	return true
 }
@@ -334,27 +346,19 @@ func (n *Network) linkRetries(ol *outLink) int {
 	return retries
 }
 
-// dropUnroutable splices an unroutable message out of input queue
-// (p, v) it already occupies, reports the structured error, and
-// performs the bookkeeping a pop would have done (credit return, arb
-// re-arm). The arbitration candidates need no
-// update: arrive drops t before registering it, and when t is the
-// head, only reserved placeholders can sit behind it (landings fill
-// reservations in order), so the queue has no landed head either way.
-func (n *Network) dropUnroutable(sw *swc, p topo.Port, v int, t *tx) {
+// dropQueued splices an unroutable message out of input queue (p, v)
+// it already occupies, reports the structured error, and returns the
+// vacated slot's credit as a pop would have. The arbitration candidates
+// need no update: arrive drops t before registering it, and when t is
+// the head, only reserved placeholders can sit behind it (landings fill
+// reservations in order), so the queue has no landed head either way;
+// refloodRoutes rebuilds them after its drops.
+func (n *Network) dropQueued(sw *swc, p, v int, t *tx) {
 	q := &sw.in[p][v]
-	for i, e := range q.q {
-		if e == t {
-			q.q = append(q.q[:i], q.q[i+1:]...)
-			sw.queued--
-			break
-		}
-	}
-	n.stats.Unroutable++
-	n.fail(&UnroutableError{At: n.eng.Now(), Kind: t.m.Kind, Src: t.m.Src, Dst: t.m.Dst,
-		From: t.hops[t.hopIdx].Sw, Down: n.DownReport()})
-	n.afterPop(sw, int(p), v)
-	n.armArb(sw)
+	q.q = slices.DeleteFunc(q.q, func(e *tx) bool { return e == t })
+	sw.queued--
+	n.unroutable(t)
+	n.afterPop(sw, p, v)
 }
 
 // refloodRoutes revalidates every queued or injection-pending
@@ -386,20 +390,7 @@ func (n *Network) refloodRoutes() {
 		}
 	}
 	for _, d := range drops {
-		q := &d.sw.in[d.p][d.v]
-		for i, e := range q.q {
-			if e == d.t {
-				q.q = append(q.q[:i], q.q[i+1:]...)
-				d.sw.queued--
-				break
-			}
-		}
-		n.stats.Unroutable++
-		n.fail(&UnroutableError{At: n.eng.Now(), Kind: d.t.m.Kind, Src: d.t.m.Src, Dst: d.t.m.Dst,
-			From: d.t.hops[d.t.hopIdx].Sw, Down: n.DownReport()})
-		// Sender-side flow control: the vacated slot must hand its
-		// credit back upstream or the feeding link would leak capacity.
-		n.afterPop(d.sw, d.p, d.v)
+		n.dropQueued(d.sw, d.p, d.v, d.t)
 	}
 	for _, arr := range [][]injLink{n.injProc, n.injMem} {
 		for i := range arr {
@@ -410,9 +401,7 @@ func (n *Network) refloodRoutes() {
 					kept = append(kept, t)
 					continue
 				}
-				n.stats.Unroutable++
-				n.fail(&UnroutableError{At: n.eng.Now(), Kind: t.m.Kind, Src: t.m.Src, Dst: t.m.Dst,
-					From: t.hops[0].Sw, Down: n.DownReport()})
+				n.unroutable(t)
 			}
 			il.pending = kept
 		}
@@ -425,16 +414,4 @@ func (n *Network) refloodRoutes() {
 		n.pumpInjection(&n.injProc[i])
 		n.pumpInjection(&n.injMem[i])
 	}
-}
-
-func sameHops(a, b []topo.Hop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

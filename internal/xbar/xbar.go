@@ -84,9 +84,6 @@ type Handler func(*mesg.Message)
 type Config struct {
 	CoreCycles  sim.Cycle // switch pipeline delay; 0 means default
 	VCQueueMsgs int       // per-VC input queue capacity; 0 means default
-	// RouteCacheEntries bounds the network's hot-route LRU;
-	// 0 means topo.DefaultRouteCacheEntries.
-	RouteCacheEntries int
 	// Snoop, when non-nil, is attached to every switch.
 	Snoop Snooper
 }
@@ -120,9 +117,10 @@ func (n *Network) newTx() *tx {
 }
 
 // freeTx returns a finished tx to the freelist. The caller must hold
-// the only reference (the tx has left every queue).
+// the only reference (the tx has left every queue). The emptied hop
+// buffer stays with the tx, so the next message routes into it.
 func (n *Network) freeTx(t *tx) {
-	*t = tx{}
+	*t = tx{hops: t.hops[:0]}
 	n.txFree = append(n.txFree, t)
 }
 
@@ -134,7 +132,9 @@ func (n *Network) assignID(m *mesg.Message) {
 	}
 }
 
-// tx is a message in flight with its residual route.
+// tx is a message in flight with its residual route. hops is owned by
+// the tx alone: routing appends into it and detours rewrite it in
+// place.
 type tx struct {
 	m        *mesg.Message
 	hops     []topo.Hop
@@ -274,12 +274,10 @@ type Network struct {
 	injMem  []injLink
 
 	stats Stats
-	// rc memoizes hot routes, keeping route state O(capacity) instead
-	// of O(Nodes²).
-	rc *topo.RouteCache
-	// txFree recycles tx wrappers: one is live per in-flight message,
-	// dying at final-hop delivery or a snoop sink, so the steady-state
-	// send path allocates nothing.
+	// txFree recycles tx wrappers and their hop buffers: one is live
+	// per in-flight message, dying at final-hop delivery, a snoop sink
+	// or an unroutable drop, so the steady-state send path allocates
+	// nothing.
 	txFree []*tx
 	// nextID feeds message-ID assignment. IDs are only ever compared
 	// for equality (dedup maps).
@@ -300,9 +298,43 @@ type Network struct {
 	// error panics — a partition must never silently eat traffic.
 	Fail func(error)
 
-	// Trace, when set, observes every message lifecycle event:
-	// "send", "sink", "gen", "deliver". For debugging protocols.
-	Trace func(event string, at sim.Cycle, m *mesg.Message)
+	// Trace, when set, observes every message lifecycle event. For
+	// debugging protocols.
+	Trace func(ev Event, at sim.Cycle, m *mesg.Message)
+}
+
+// EventKind names a message lifecycle stage reported to Network.Trace.
+type EventKind uint8
+
+const (
+	// EvSend: an endpoint injected the message.
+	EvSend EventKind = iota
+	// EvGen: a snooper generated the message at switch Event.Sw.
+	EvGen
+	// EvSink: a snooper consumed the message at switch Event.Sw.
+	EvSink
+	// EvDeliver: the message reached its destination endpoint.
+	EvDeliver
+)
+
+// Event is one message lifecycle event; Sw is set for EvGen and EvSink.
+type Event struct {
+	Kind EventKind
+	Sw   topo.SwitchID
+}
+
+func (e Event) String() string {
+	switch e.Kind {
+	case EvSend:
+		return "send"
+	case EvGen:
+		return fmt.Sprintf("gen@%v", e.Sw)
+	case EvSink:
+		return fmt.Sprintf("sink@%v", e.Sw)
+	case EvDeliver:
+		return "deliver"
+	}
+	return fmt.Sprintf("Event(%d)", e.Kind)
 }
 
 type injLink struct {
@@ -330,7 +362,6 @@ func New(eng *sim.Engine, tp *topo.T, cfg Config) *Network {
 		memH:      make([]Handler, tp.Nodes),
 		injProc:   make([]injLink, tp.Nodes),
 		injMem:    make([]injLink, tp.Nodes),
-		rc:        topo.NewRouteCache(tp, cfg.RouteCacheEntries),
 	}
 	n.want = make([]uint64, n.outWords)
 	n.build()
@@ -420,21 +451,19 @@ func (n *Network) AttachProc(i int, h Handler) { n.procH[i] = h }
 // AttachMem registers the handler for node i's memory interface.
 func (n *Network) AttachMem(i int, h Handler) { n.memH[i] = h }
 
-// route computes the hop sequence for a message between endpoints,
-// through the hot-route cache. The block address
-// selects the turnaround pivot for processor-to-processor messages so
-// a transaction's reply stays in its home's subtree. Returned slices
-// are shared with the cache and must be treated as immutable (the
-// fault overlay's detours always build fresh slices).
-func (n *Network) route(m *mesg.Message) []topo.Hop {
+// route appends the hop sequence for a message between endpoints to
+// buf. The block address selects the turnaround pivot for
+// processor-to-processor messages so a transaction's reply stays in
+// its home's subtree.
+func (n *Network) route(buf []topo.Hop, m *mesg.Message) []topo.Hop {
 	s, d := m.Src, m.Dst
 	switch {
 	case s.Side == mesg.ProcSide && d.Side == mesg.MemSide:
-		return n.rc.Forward(s.Node, d.Node)
+		return n.tp.AppendForward(buf, s.Node, d.Node)
 	case s.Side == mesg.MemSide && d.Side == mesg.ProcSide:
-		return n.rc.Backward(s.Node, d.Node)
+		return n.tp.AppendBackward(buf, s.Node, d.Node)
 	case s.Side == mesg.ProcSide && d.Side == mesg.ProcSide:
-		return n.rc.Turnaround(s.Node, d.Node, int(m.Addr>>5))
+		return n.tp.AppendTurnaround(buf, s.Node, d.Node, int(m.Addr>>5))
 	default:
 		panic(fmt.Sprintf("xbar: unsupported route %v -> %v", s, d))
 	}
@@ -532,14 +561,14 @@ func (n *Network) Send(m *mesg.Message) {
 	n.assignID(m)
 	n.stats.Sent++
 	if n.Trace != nil {
-		n.Trace("send", n.eng.Now(), m)
-	}
-	hops, canon, ok := n.routeOrFail(n.route(m), m)
-	if !ok {
-		return
+		n.Trace(Event{Kind: EvSend}, n.eng.Now(), m)
 	}
 	t := n.newTx()
-	t.m, t.hops, t.canon, t.injected = m, hops, canon, n.eng.Now()
+	t.m, t.injected = m, n.eng.Now()
+	t.hops = n.route(t.hops, m)
+	if !n.routeOrFail(t) {
+		return
+	}
 	var il *injLink
 	if m.Src.Side == mesg.ProcSide {
 		il = &n.injProc[m.Src.Node]
@@ -603,7 +632,8 @@ func (n *Network) arrive(sw *swc, p topo.Port, v int, t *tx) {
 	if n.faulty() && !n.fixRoute(t) {
 		// A fault landed while the message was on the wire and its
 		// destination did not survive it.
-		n.dropUnroutable(sw, p, v, t)
+		n.dropQueued(sw, int(p), v, t)
+		n.armArb(sw)
 		return
 	}
 	if q.q[0] == t {
@@ -800,14 +830,14 @@ func (n *Network) grant(sw *swc, out topo.Port, p, v int) bool {
 		for _, g := range act.Generated {
 			n.stats.Generated++
 			if n.Trace != nil {
-				n.Trace(fmt.Sprintf("gen@%v", sw.id), now, g)
+				n.Trace(Event{Kind: EvGen, Sw: sw.id}, now, g)
 			}
 			n.injectAt(sw, g, now+extra)
 		}
 		if act.Sink {
 			n.stats.Sunk++
 			if n.Trace != nil {
-				n.Trace(fmt.Sprintf("sink@%v", sw.id), now, t.m)
+				n.Trace(Event{Kind: EvSink, Sw: sw.id}, now, t.m)
 			}
 			n.afterPop(sw, p, v)
 			n.freeTx(t)
@@ -873,31 +903,25 @@ func (n *Network) afterPop(sw *swc, p, v int) {
 }
 
 // injectAt places a snooper-generated message in this switch's
-// internal injection block, with its route computed from this switch.
+// internal injection block, with its route computed from this switch
+// (entering on the internal injection pseudo-port).
 func (n *Network) injectAt(sw *swc, m *mesg.Message, when sim.Cycle) {
 	n.assignID(m)
-	hops, canon, ok := n.routeOrFail(n.routeFrom(sw, m), m)
-	if !ok {
+	t := n.newTx()
+	t.m, t.injected, t.skipSnoopOnce = m, when, true
+	inj := topo.Port(2 * n.tp.Radix)
+	t.hops = n.tp.AppendRouteFrom(t.hops, sw.id, inj, m.Dst.Side == mesg.MemSide, m.Dst.Node, int(m.Addr>>5))
+	if !n.routeOrFail(t) {
 		return
 	}
-	t := n.newTx()
-	t.m, t.hops, t.canon, t.injected, t.skipSnoopOnce = m, hops, canon, when, true
 	n.eng.AtEvent(when, n, opInjArrive, uint64(sw.ord), t)
-}
-
-// routeFrom computes a route for a message created inside switch sw,
-// entering on the internal injection pseudo-port, through the route
-// cache (topo.RouteFrom does the arithmetic).
-func (n *Network) routeFrom(sw *swc, m *mesg.Message) []topo.Hop {
-	inj := topo.Port(2 * n.tp.Radix)
-	return n.rc.RouteFrom(sw.id, inj, m.Dst.Side == mesg.MemSide, m.Dst.Node, int(m.Addr>>5))
 }
 
 // deliverEnd hands a message to the endpoint handler.
 func (n *Network) deliverEnd(e mesg.End, m *mesg.Message) {
 	n.stats.Delivered++
 	if n.Trace != nil {
-		n.Trace("deliver", n.eng.Now(), m)
+		n.Trace(Event{Kind: EvDeliver}, n.eng.Now(), m)
 	}
 	var h Handler
 	if e.Side == mesg.ProcSide {

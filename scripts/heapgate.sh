@@ -1,6 +1,7 @@
 #!/bin/sh
-# Memory-ceiling gate: route state must be O(N·s + bounded LRU), not
-# the old O(N²) of per-(proc,mem) precomputed paths. The scalability
+# Memory-ceiling gate: route state must be O(N·s) wiring plus one hop
+# buffer per in-flight message, not the old O(N²) of per-(proc,mem)
+# precomputed paths. The scalability
 # benchmarks report the GC'd live heap of the largest machine they
 # build; going from 64 to 256 nodes (4x) a quadratic structure would
 # grow ~16x, so the gate asserts live-heap(256) < 16 * live-heap(64).
